@@ -24,7 +24,12 @@ Problem make_problem(std::size_t n, std::size_t p) {
   Problem prob{linalg::Matrix(n, p), std::vector<double>(n),
                std::vector<std::string>(p)};
   for (std::size_t j = 0; j < p; ++j) {
-    prob.names[j] = "c" + std::to_string(j);
+    // Built by appending and moved in: with "c" + std::to_string(j), or
+    // with a literal assigned into the slot, GCC 12 at -O3 reports a false
+    // -Werror=restrict inside libstdc++'s string replace.
+    std::string name(1, 'c');
+    name += std::to_string(j);
+    prob.names[j] = std::move(name);
   }
   for (std::size_t i = 0; i < n; ++i) {
     double acc = 0.0;

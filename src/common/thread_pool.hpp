@@ -36,7 +36,11 @@ class ThreadPool {
 
   /// Run fn(i) for i in [begin, end), partitioned into contiguous chunks
   /// across the pool. Blocks until complete. fn must be thread-safe across
-  /// distinct indices.
+  /// distinct indices. The caller claims chunks itself and then waits only
+  /// for chunks other threads are running, so calls may nest inside pool
+  /// tasks and run concurrently from many threads. The first exception fn
+  /// throws is rethrown here once every claimed chunk has finished; chunks
+  /// not yet started are then skipped.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

@@ -6,8 +6,9 @@
 
 namespace bf::gpusim {
 
-Cache::Cache(std::int64_t size_bytes, int line_bytes, int assoc)
-    : line_bytes_(line_bytes), assoc_(assoc) {
+Cache::Cache(std::int64_t size_bytes, int line_bytes, int assoc,
+             std::pmr::memory_resource* memory)
+    : line_bytes_(line_bytes), assoc_(assoc), ways_(memory) {
   BF_CHECK_MSG(line_bytes > 0 && (line_bytes & (line_bytes - 1)) == 0,
                "cache line size must be a power of two");
   BF_CHECK_MSG(assoc >= 1, "associativity must be >= 1");

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
 namespace bf::gpusim {
@@ -27,7 +28,8 @@ class Cache {
  public:
   /// size_bytes is rounded down to a whole number of sets; a zero-sized
   /// cache reports every access as a miss.
-  Cache(std::int64_t size_bytes, int line_bytes, int assoc);
+  Cache(std::int64_t size_bytes, int line_bytes, int assoc,
+        std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
   struct AccessResult {
     bool hit = false;
@@ -65,7 +67,7 @@ class Cache {
   int assoc_;
   std::size_t sets_;
   std::uint64_t stamp_ = 0;
-  std::vector<Way> ways_;  // sets_ * assoc_ entries
+  std::pmr::vector<Way> ways_;  // sets_ * assoc_ entries
   CacheStats stats_;
 };
 

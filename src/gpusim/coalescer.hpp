@@ -10,20 +10,29 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "gpusim/trace.hpp"
 
 namespace bf::gpusim {
 
-/// Distinct aligned segments touched by the active lanes of one access.
-/// Returns the segment base addresses (each aligned to segment_bytes).
-/// A fully-coalesced 4-byte access of 32 consecutive lanes yields one
-/// 128-byte segment or four 32-byte segments.
-std::vector<std::uint64_t> coalesce(const WarpInstr& instr,
-                                    int segment_bytes);
+/// The distinct aligned segments one warp access touches, ascending. Each
+/// active lane touches at most two (an access can straddle a boundary).
+struct Segments {
+  std::array<std::uint64_t, 64> base;
+  int count = 0;
 
-/// Just the transaction count (cheaper when the addresses are not needed).
+  const std::uint64_t* begin() const { return base.data(); }
+  const std::uint64_t* end() const { return base.data() + count; }
+  std::size_t size() const { return static_cast<std::size_t>(count); }
+};
+
+/// Distinct aligned segments touched by the active lanes of one access
+/// (each base aligned to segment_bytes). A fully-coalesced 4-byte access
+/// of 32 consecutive lanes yields one 128-byte segment or four 32-byte
+/// segments.
+Segments coalesce(const WarpInstr& instr, int segment_bytes);
+
+/// Just the transaction count.
 int coalesced_transaction_count(const WarpInstr& instr, int segment_bytes);
 
 }  // namespace bf::gpusim

@@ -5,12 +5,15 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <memory_resource>
+#include <span>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/cache.hpp"
-#include "gpusim/coalescer.hpp"
-#include "gpusim/sharedmem.hpp"
 
 namespace bf::gpusim {
 namespace {
@@ -30,7 +33,38 @@ bool validation_forced_by_env() {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
+/// Pages mapped straight from the OS and unmapped on release. SMs run on
+/// pool threads; from malloc, their caches and traces would leave every
+/// thread that ran one with an arena top that malloc_trim cannot shrink,
+/// which then sits under every later memory peak of the process.
+class PageResource final : public std::pmr::memory_resource {
+  void* do_allocate(std::size_t bytes, std::size_t /*alignment*/) override {
+    void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return p;  // page-aligned
+  }
+  void do_deallocate(void* p, std::size_t bytes,
+                     std::size_t /*alignment*/) override {
+    munmap(p, bytes);
+  }
+  bool do_is_equal(const memory_resource& other) const noexcept override {
+    return this == &other;
+  }
+};
+
+/// Pooled up to the largest blocks an SM asks for (warp traces reach
+/// ~100 KiB on matrixMul at n = 2048, a Kepler L2 slice ~90 KiB), so
+/// freed blocks are reused across the SMs of a launch.
+std::pmr::pool_options sm_pool_options() {
+  std::pmr::pool_options opts;
+  opts.largest_required_pool_block = std::size_t{1} << 20;
+  return opts;
+}
+
 struct WarpState {
+  explicit WarpState(std::pmr::memory_resource* memory) : trace(memory) {}
+
   WarpTrace trace;
   std::size_t pc = 0;
   std::uint64_t ready = 0;
@@ -38,6 +72,17 @@ struct WarpState {
   int block_slot = -1;  // index into SmSim::blocks_
   bool at_barrier = false;
   bool done = false;
+
+  /// Back to a fresh warp, keeping the trace buffers' capacity.
+  void reset() {
+    trace.clear();
+    pc = 0;
+    ready = 0;
+    scheduler = 0;
+    block_slot = -1;
+    at_barrier = false;
+    done = false;
+  }
 };
 
 struct BlockCtx {
@@ -52,18 +97,19 @@ class SmSim {
  public:
   SmSim(const ArchSpec& arch, const TraceKernel& kernel,
         const LaunchGeometry& geom, int max_resident_blocks,
-        std::vector<int> block_queue)
-      : arch_(arch),
+        std::vector<int> block_queue, std::pmr::memory_resource* memory)
+      : memory_(memory),
+        arch_(arch),
         kernel_(kernel),
         geom_(geom),
         max_resident_(max_resident_blocks),
         queue_(std::move(block_queue)),
         l1_(static_cast<std::int64_t>(arch.l1_size_kb) * 1024,
-            arch.l1_line_bytes, arch.l1_assoc),
+            arch.l1_line_bytes, arch.l1_assoc, memory),
         l2_(arch.l2_slice_bytes(),
             arch.generation == Generation::kKepler ? arch.l2_transaction_bytes
                                                    : arch.l2_line_bytes,
-            arch.l2_assoc),
+            arch.l2_assoc, memory),
         sched_busy_(static_cast<std::size_t>(arch.warp_schedulers_per_sm), 0),
         sched_rr_(static_cast<std::size_t>(arch.warp_schedulers_per_sm), 0),
         sched_warps_(static_cast<std::size_t>(arch.warp_schedulers_per_sm)) {}
@@ -97,6 +143,7 @@ class SmSim {
       bool changed = false;
       for (std::size_t b = 0; b < blocks_.size();) {
         if (blocks_[b]->live_warps == 0) {
+          for (auto& w : blocks_[b]->warps) spare_warps_.push_back(std::move(w));
           blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(b));
           changed = true;
         } else {
@@ -121,8 +168,15 @@ class SmSim {
     ctx->block_id = block_id;
     const int warps = geom_.warps_per_block(arch_.warp_size);
     for (int w = 0; w < warps; ++w) {
-      auto ws = std::make_unique<WarpState>();
-      TraceSink sink(ws->trace);
+      std::unique_ptr<WarpState> ws;
+      if (spare_warps_.empty()) {
+        ws = std::make_unique<WarpState>(memory_);
+      } else {
+        ws = std::move(spare_warps_.back());
+        spare_warps_.pop_back();
+        ws->reset();
+      }
+      TraceSink sink(arch_, ws->trace);
       kernel_.emit_warp(block_id, w, sink);
       ws->ready = cycle_;
       ws->scheduler =
@@ -223,7 +277,7 @@ class SmSim {
   /// Execute the warp's next instruction; returns the issue slots it
   /// consumed on its scheduler (1 = single slot, free for dual issue).
   int issue(WarpState* warp) {
-    const WarpInstr& in = warp->trace[warp->pc++];
+    const TraceRecord& in = warp->trace.instrs[warp->pc++];
     CounterSet& c = *counters_;
     c.add(Event::kInstExecuted, 1);
     c.add(Event::kThreadInstExecuted, popcount_mask(in.mask));
@@ -259,7 +313,7 @@ class SmSim {
       }
       case Op::kLdShared:
       case Op::kStShared: {
-        const int passes = shared_access_passes(in, arch_);
+        const int passes = in.passes;
         const int replays = passes - 1;
         c.add(Event::kInstIssued, passes);
         if (in.op == Op::kLdShared) {
@@ -279,7 +333,7 @@ class SmSim {
       case Op::kAtomicShared: {
         // Atomics serialise over both bank conflicts and same-address
         // collisions; every extra pass is a replayed issue slot.
-        const int passes = shared_atomic_passes(in, arch_);
+        const int passes = in.passes;
         const int replays = passes - 1;
         c.add(Event::kInstIssued, passes);
         c.add(Event::kSharedStore, 1);  // nvprof counts atomics as stores
@@ -306,7 +360,7 @@ class SmSim {
     return cost;
   }
 
-  int execute_global_load(WarpState* warp, const WarpInstr& in) {
+  int execute_global_load(WarpState* warp, const TraceRecord& in) {
     CounterSet& c = *counters_;
     c.add(Event::kGldRequest, 1);
     c.add(Event::kGlobalLoadBytesRequested,
@@ -315,12 +369,11 @@ class SmSim {
     const bool via_l1 = arch_.l1_caches_global_loads;
     const int seg_bytes =
         via_l1 ? arch_.l1_transaction_bytes : arch_.l2_transaction_bytes;
-    const auto segments = coalesce(in, seg_bytes);
-    const int ntrans = static_cast<int>(segments.size());
+    const int ntrans = in.seg_count;
     c.add(Event::kGlobalLoadTransaction, ntrans);
 
     int worst_latency = 0;
-    for (const std::uint64_t seg : segments) {
+    for (const std::uint64_t seg : segments_of(warp, in)) {
       int lat;
       if (via_l1) {
         const auto l1r = l1_.access(seg, /*write=*/false);
@@ -364,19 +417,18 @@ class SmSim {
     return arch_.dram_latency;
   }
 
-  int execute_global_store(WarpState* warp, const WarpInstr& in) {
+  int execute_global_store(WarpState* warp, const TraceRecord& in) {
     CounterSet& c = *counters_;
     c.add(Event::kGstRequest, 1);
     c.add(Event::kGlobalStoreBytesRequested,
           static_cast<double>(popcount_mask(in.mask)) * in.access_bytes);
 
     // Stores bypass L1 (Fermi is write-through-no-allocate; Kepler has no
-    // L1 global path) and coalesce at L2 segment granularity.
-    const auto segments = coalesce(in, arch_.l2_transaction_bytes);
-    const int ntrans = static_cast<int>(segments.size());
+    // L1 global path); the sink coalesced them at L2 segment granularity.
+    const int ntrans = in.seg_count;
     c.add(Event::kGlobalStoreTransaction, ntrans);
     c.add(Event::kL2WriteTransactions, ntrans);
-    for (const std::uint64_t seg : segments) {
+    for (const std::uint64_t seg : segments_of(warp, in)) {
       const auto r = l2_.access(seg, /*write=*/true);
       if (r.writeback) {
         c.add(Event::kDramWriteTransactions,
@@ -391,6 +443,11 @@ class SmSim {
     warp->ready =
         cycle_ + static_cast<std::uint64_t>(arch_.alu_dep_latency + replays);
     return arch_.arith_issue_cycles() + replays;
+  }
+
+  static std::span<const std::uint64_t> segments_of(const WarpState* warp,
+                                                    const TraceRecord& in) {
+    return {warp->trace.segments.data() + in.seg_begin, in.seg_count};
   }
 
   // ---- barriers / warp completion ----
@@ -433,6 +490,7 @@ class SmSim {
     maybe_release_barrier(block);
   }
 
+  std::pmr::memory_resource* memory_;  // caches and warp traces
   const ArchSpec& arch_;
   const TraceKernel& kernel_;
   const LaunchGeometry& geom_;
@@ -443,6 +501,7 @@ class SmSim {
   Cache l1_;
   Cache l2_;
   std::vector<std::unique_ptr<BlockCtx>> blocks_;
+  std::vector<std::unique_ptr<WarpState>> spare_warps_;  // retired, reusable
   std::vector<std::uint64_t> sched_busy_;
   std::vector<std::size_t> sched_rr_;
   std::vector<std::vector<WarpState*>> sched_warps_;
@@ -496,13 +555,27 @@ RunResult Device::run(const TraceKernel& kernel, const RunOptions& opts) const {
         sampled[i]);
   }
 
-  std::uint64_t max_cycles = 0;
-  for (int sm = 0; sm < arch_.sm_count; ++sm) {
-    if (per_sm[static_cast<std::size_t>(sm)].empty()) continue;
+  // SMs share nothing (private L1 and L2 slice), so they run in parallel,
+  // each into its own counters. Every event is a sum of integer-valued
+  // adds far below 2^53, so merging in SM order gives exactly the sums a
+  // single serial pass would. Caches and traces come from launch-scoped
+  // pages, so the pool threads keep no memory once the launch returns;
+  // the monotonic layer maps them in a few geometrically growing chunks.
+  PageResource pages;
+  std::pmr::monotonic_buffer_resource chunks(256 * 1024, &pages);
+  std::pmr::synchronized_pool_resource sm_memory(sm_pool_options(), &chunks);
+  std::vector<CounterSet> sm_counters(per_sm.size());
+  std::vector<std::uint64_t> sm_cycles(per_sm.size(), 0);
+  ThreadPool::global().parallel_for(0, per_sm.size(), [&](std::size_t sm) {
+    if (per_sm[sm].empty()) return;
     SmSim sim(arch_, kernel, geom, result.occupancy.blocks_per_sm,
-              std::move(per_sm[static_cast<std::size_t>(sm)]));
-    const std::uint64_t cycles = sim.run(result.counters);
-    max_cycles = std::max(max_cycles, cycles);
+              std::move(per_sm[sm]), &sm_memory);
+    sm_cycles[sm] = sim.run(sm_counters[sm]);
+  });
+  std::uint64_t max_cycles = 0;
+  for (std::size_t sm = 0; sm < sm_counters.size(); ++sm) {
+    result.counters.accumulate(sm_counters[sm]);
+    max_cycles = std::max(max_cycles, sm_cycles[sm]);
   }
 
   result.counters.set(Event::kElapsedCycles,

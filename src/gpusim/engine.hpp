@@ -11,14 +11,27 @@
 //    stall the issuing warp for the dependence latency (back-to-back
 //    instructions of one warp are assumed dependent; concurrency comes
 //    from other warps — i.e. from occupancy, as on real hardware).
-//  * Memory ops run through the coalescer; every transaction beyond the
-//    first is an instruction replay that occupies an extra issue slot.
-//    Loads probe L1 (Fermi global-load path) and a per-SM slice of L2;
-//    the worst transaction's level determines the warp's stall latency.
+//  * Warp traces arrive resolved (see trace.hpp): the sink already
+//    coalesced each global access into segments and counted each shared
+//    access's bank passes when the kernel emitted it, so issue only
+//    reads the stored result.
+//  * Every coalesced transaction beyond the first is an instruction
+//    replay that occupies an extra issue slot. Loads probe L1 (Fermi
+//    global-load path) and a per-SM slice of L2; the worst transaction's
+//    level determines the warp's stall latency.
 //  * Shared-memory ops serialise over bank-conflict passes; each extra
 //    pass is a replay (counted in the *_replay / bank-conflict events).
 //  * __syncthreads() parks warps until every live warp of the block
 //    arrives.
+//
+// SMs share nothing (each has a private L1 and L2 slice), so Device::run
+// simulates them in parallel on ThreadPool::global(), each into its own
+// CounterSet, and merges the sets in SM order. Every event add is an
+// integer far below 2^53, so the merged sums are exact and equal a serial
+// running sum bit for bit at any thread count; elapsed cycles are the
+// maximum over SMs. Concurrent Device::run calls are safe. The SMs' caches
+// and traces live in pages mapped for the launch and unmapped when it
+// returns, so no pool thread keeps simulator memory afterwards.
 //
 // Large grids are sampled: a representative subset of blocks is simulated
 // and every extensive counter plus the elapsed time is scaled by

@@ -5,15 +5,20 @@
 // warp-wide instructions it executes, including per-lane byte addresses for
 // memory operations and the active-thread mask (divergent branches appear
 // as instructions with partial masks, exactly as a real SIMT pipeline
-// serialises them).
+// serialises them). The sink resolves each memory op against the
+// architecture as it is emitted and stores only the result: bank passes
+// for shared accesses, coalesced segments for global ones.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "gpusim/arch.hpp"
 
 namespace bf::gpusim {
 
@@ -37,8 +42,10 @@ inline bool is_memory_op(Op op) {
 
 inline constexpr std::uint32_t kFullMask = 0xffffffffu;
 
-/// One warp-wide instruction. For memory ops, addr[lane] holds the byte
-/// address accessed by each active lane (inactive lanes are ignored).
+/// One warp-wide instruction in expanded form. For memory ops, addr[lane]
+/// holds the byte address accessed by each active lane (inactive lanes are
+/// ignored). This is what the coalescer and the bank-conflict model read;
+/// the engine stores the resolved TraceRecord instead.
 struct WarpInstr {
   Op op = Op::kIAlu;
   std::uint32_t mask = kFullMask;
@@ -47,20 +54,57 @@ struct WarpInstr {
   std::array<std::uint32_t, 32> addr{};
 };
 
-using WarpTrace = std::vector<WarpInstr>;
+/// One instruction as the engine stores it: memory ops are already
+/// resolved against the architecture when emitted, so no lane addresses
+/// are kept.
+struct TraceRecord {
+  Op op = Op::kIAlu;
+  std::uint8_t access_bytes = 4;
+  bool divergent = false;
+  std::uint32_t mask = kFullMask;
+  /// Global ops: the coalesced segments are WarpTrace::segments
+  /// [seg_begin, seg_begin + seg_count), ascending.
+  std::uint32_t seg_begin = 0;
+  std::uint16_t seg_count = 0;
+  /// Shared loads, stores and atomics: serialised bank passes (>= 1).
+  std::uint16_t passes = 1;
+};
+static_assert(sizeof(TraceRecord) == 16, "trace records stay compact");
 
-/// Builder through which kernels emit a warp's instructions.
+/// A warp's resolved trace plus the pool of segment base addresses its
+/// global accesses touch.
+struct WarpTrace {
+  explicit WarpTrace(std::pmr::memory_resource* memory =
+                         std::pmr::get_default_resource())
+      : instrs(memory), segments(memory) {}
+
+  std::pmr::vector<TraceRecord> instrs;
+  std::pmr::vector<std::uint64_t> segments;
+
+  bool empty() const { return instrs.empty(); }
+  std::size_t size() const { return instrs.size(); }
+  void clear() {
+    instrs.clear();
+    segments.clear();
+  }
+};
+
+/// Builder through which kernels emit a warp's instructions. Memory ops
+/// are resolved here, once: shared and atomic accesses to bank passes,
+/// global loads to segments of the L1 transaction size when L1 caches
+/// global loads (else the L2 one), global stores to L2 segments.
 class TraceSink {
  public:
-  explicit TraceSink(WarpTrace& out) : out_(out) {}
+  TraceSink(const ArchSpec& arch, WarpTrace& out);
 
   /// `count` back-to-back arithmetic instructions under `mask`.
   void alu(std::uint32_t mask, int count = 1, Op op = Op::kFAlu) {
     BF_CHECK(op == Op::kIAlu || op == Op::kFAlu || op == Op::kSfu);
-    WarpInstr in;
+    TraceRecord in;
     in.op = op;
     in.mask = mask;
-    for (int i = 0; i < count; ++i) out_.push_back(in);
+    out_.instrs.insert(out_.instrs.end(),
+                       static_cast<std::size_t>(std::max(count, 0)), in);
   }
 
   void global_load(std::uint32_t mask, const std::array<std::uint32_t, 32>& addr,
@@ -92,32 +136,27 @@ class TraceSink {
   }
 
   void branch(std::uint32_t mask, bool divergent) {
-    WarpInstr in;
+    TraceRecord in;
     in.op = Op::kBranch;
     in.mask = mask;
     in.divergent = divergent;
-    out_.push_back(in);
+    out_.instrs.push_back(in);
   }
 
   void sync() {
-    WarpInstr in;
+    TraceRecord in;
     in.op = Op::kSync;
-    out_.push_back(in);
+    out_.instrs.push_back(in);
   }
 
  private:
   void push_mem(Op op, std::uint32_t mask,
                 const std::array<std::uint32_t, 32>& addr,
-                std::uint8_t access_bytes) {
-    BF_CHECK_MSG(mask != 0, "memory op with empty mask");
-    WarpInstr in;
-    in.op = op;
-    in.mask = mask;
-    in.access_bytes = access_bytes;
-    in.addr = addr;
-    out_.push_back(in);
-  }
+                std::uint8_t access_bytes);
 
+  const ArchSpec& arch_;
+  const int load_segment_bytes_;
+  const int store_segment_bytes_;
   WarpTrace& out_;
 };
 
@@ -138,7 +177,9 @@ struct LaunchGeometry {
 };
 
 /// The interface kernels implement: given a flat block index and a warp
-/// index within the block, emit that warp's trace.
+/// index within the block, emit that warp's trace. Device::run simulates
+/// SMs on several threads, so emit_warp is called concurrently and must
+/// not modify shared state.
 class TraceKernel {
  public:
   virtual ~TraceKernel() = default;

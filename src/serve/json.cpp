@@ -51,8 +51,14 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      BF_CHECK_MSG(++depth_ <= kMaxJsonDepth,
+                   "json: nesting deeper than " << kMaxJsonDepth
+                                                << " at offset " << pos_);
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.type = JsonValue::Type::kString;
@@ -197,6 +203,7 @@ class Parser {
   }
 
   std::string_view text_;
+  int depth_ = 0;
   std::size_t pos_ = 0;
 };
 

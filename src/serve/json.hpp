@@ -28,8 +28,13 @@ struct JsonValue {
   const JsonValue* find(std::string_view key) const;
 };
 
-/// Parse one JSON document; throws bf::Error on malformed input or
-/// trailing non-whitespace.
+/// Deepest array/object nesting parse_json accepts. Requests are flat
+/// objects; the bound keeps hostile nesting from exhausting the stack of
+/// the recursive parser and of ~JsonValue.
+inline constexpr int kMaxJsonDepth = 64;
+
+/// Parse one JSON document; throws bf::Error on malformed input, nesting
+/// deeper than kMaxJsonDepth, or trailing non-whitespace.
 JsonValue parse_json(std::string_view text);
 
 /// Escape a string for embedding between double quotes.

@@ -3,8 +3,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -286,6 +289,86 @@ TEST(ThreadPool, EmptyRangeIsNoop) {
   int count = 0;
   pool.parallel_for(3, 3, [&](std::size_t) { ++count; });
   EXPECT_EQ(count, 0);
+}
+
+TEST(ThreadPool, NestedParallelForInsidePoolTask) {
+  // Every worker runs an outer chunk that itself calls parallel_for on the
+  // same pool; no worker is free to help, so the inner callers must make
+  // progress on their own.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(8 * 50);
+  pool.parallel_for(0, 8, [&](std::size_t outer) {
+    pool.parallel_for(0, 50, [&](std::size_t inner) {
+      hits[outer * 50 + inner]++;
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, NestedCallFromSubmittedTask) {
+  ThreadPool pool(2);
+  std::atomic<int> sum{0};
+  for (int t = 0; t < 4; ++t) {
+    // Audited: wait_idle() below keeps `pool` and `sum` alive past every
+    // task.
+    pool.submit([&] {  // bf-lint: allow(capture-escape)
+      pool.parallel_for(0, 100, [&](std::size_t i) {
+        sum += static_cast<int>(i);
+      });
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(sum.load(), 4 * 4950);
+}
+
+TEST(ThreadPool, ConcurrentCallersSeeOnlyTheirOwnWork) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 3;
+  std::vector<std::vector<int>> out(kCallers, std::vector<int>(500, 0));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &out, c] {
+      for (int round = 0; round < 5; ++round) {
+        pool.parallel_for(0, 500, [&](std::size_t i) {
+          out[static_cast<std::size_t>(c)][i] += c + 1;
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    for (const int v : out[static_cast<std::size_t>(c)]) {
+      EXPECT_EQ(v, 5 * (c + 1));
+    }
+  }
+}
+
+TEST(ThreadPool, ReturnsOnlyAfterChunksOtherThreadsRun) {
+  // Chunks on pool threads outlast the caller's own, so a caller that
+  // stopped waiting when it ran out of chunks to claim would see them
+  // unfinished.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> done(16);
+  pool.parallel_for(0, done.size(), [&](std::size_t i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        std::this_thread::get_id() == caller ? 2 : 30));
+    done[i] = 1;
+  });
+  for (const auto& d : done) EXPECT_EQ(d.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRethrowsFirstError) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_for(0, 64,
+                                 [](std::size_t i) {
+                                   if (i == 17) BF_FAIL("boom");
+                                 }),
+               Error);
+  // The pool stays usable afterwards.
+  std::atomic<int> count{0};
+  pool.parallel_for(0, 64, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 64);
 }
 
 TEST(ThreadPool, SubmitAndWaitIdle) {

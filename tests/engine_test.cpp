@@ -13,11 +13,14 @@ namespace {
 
 using kernels::lane_addrs;
 
+/// A warp's instructions in expanded form, replayed through the sink.
+using Script = std::vector<WarpInstr>;
+
 /// A trivially scriptable kernel: every warp of every block runs the same
 /// caller-provided trace.
 class ScriptKernel final : public TraceKernel {
  public:
-  ScriptKernel(LaunchGeometry geom, WarpTrace trace)
+  ScriptKernel(LaunchGeometry geom, Script trace)
       : geom_(geom), trace_(std::move(trace)) {}
 
   std::string name() const override { return "script"; }
@@ -58,7 +61,7 @@ class ScriptKernel final : public TraceKernel {
 
  private:
   LaunchGeometry geom_;
-  WarpTrace trace_;
+  Script trace_;
 };
 
 LaunchGeometry one_warp_blocks(int blocks) {
@@ -84,7 +87,7 @@ WarpInstr load_instr(std::uint32_t base) {
 
 TEST(Engine, ExactCountersForTinyKernel) {
   // 3 blocks x 1 warp, each: 2 FAlu + 1 coalesced load + 1 store.
-  WarpTrace trace;
+  Script trace;
   trace.push_back(alu_instr());
   trace.push_back(alu_instr());
   trace.push_back(load_instr(0));
@@ -112,7 +115,7 @@ TEST(Engine, ExactCountersForTinyKernel) {
 
 TEST(Engine, SameBlockLoadsHitL1) {
   // One block loading the same line twice: second access hits.
-  WarpTrace trace;
+  Script trace;
   trace.push_back(load_instr(0));
   trace.push_back(load_instr(0));
   const Device device(gtx580());
@@ -123,7 +126,7 @@ TEST(Engine, SameBlockLoadsHitL1) {
 }
 
 TEST(Engine, KeplerBypassesL1ForGlobalLoads) {
-  WarpTrace trace;
+  Script trace;
   trace.push_back(load_instr(0));
   trace.push_back(load_instr(0));
   const Device device(kepler_k20m());
@@ -161,8 +164,8 @@ TEST(Engine, UncoalescedLoadsCostMoreTime) {
   WarpInstr scattered;
   scattered.op = Op::kLdGlobal;
   scattered.addr = lane_addrs([](int lane) { return 4096u * lane; });
-  WarpTrace bad_trace(8, scattered);
-  WarpTrace good_trace(8, load_instr(0));
+  Script bad_trace(8, scattered);
+  Script good_trace(8, load_instr(0));
 
   const Device device(gtx580());
   const RunResult bad =
@@ -181,7 +184,7 @@ TEST(Engine, BarrierSynchronisesWarps) {
   g.grid_x = 2;
   g.block_x = 64;
   g.registers_per_thread = 16;
-  WarpTrace trace;
+  Script trace;
   trace.push_back(alu_instr());
   WarpInstr sync;
   sync.op = Op::kSync;
@@ -210,7 +213,7 @@ TEST(Engine, DivergentBranchCounted) {
 TEST(Engine, SamplingScalesCounters) {
   // A large grid gets sampled; extensive counters must be scaled back to
   // the full grid within a small tolerance.
-  WarpTrace trace;
+  Script trace;
   for (int i = 0; i < 4; ++i) trace.push_back(alu_instr());
   const Device device(gtx580());
 
@@ -233,7 +236,7 @@ TEST(Engine, SamplingScalesCounters) {
 
 TEST(Engine, OccupancyCounterMatchesResidency) {
   // A single resident warp per SM: achieved occupancy must be ~1/48.
-  WarpTrace trace;
+  Script trace;
   for (int i = 0; i < 50; ++i) trace.push_back(alu_instr());
   const Device device(gtx580());
   const RunResult r = device.run(ScriptKernel(one_warp_blocks(1), trace));
@@ -245,7 +248,7 @@ TEST(Engine, OccupancyCounterMatchesResidency) {
 
 TEST(Engine, MoreWarpsRaiseIpcUntilSaturation) {
   // Latency-bound with 1 warp; throughput-bound with many warps.
-  WarpTrace trace;
+  Script trace;
   for (int i = 0; i < 64; ++i) trace.push_back(alu_instr());
   const Device device(gtx580());
 
@@ -272,7 +275,7 @@ TEST(Engine, BandwidthRooflineEngages) {
   g.grid_x = 4096;
   g.block_x = 256;
   g.registers_per_thread = 12;
-  WarpTrace trace;
+  Script trace;
   // Each warp loads 4 distinct lines (spread by block via emit: same
   // trace per block hits the same addresses; use big strides to kill
   // locality between segments).
@@ -291,7 +294,7 @@ TEST(Engine, BandwidthRooflineEngages) {
 }
 
 TEST(Engine, AggregateResultAccumulates) {
-  WarpTrace trace{alu_instr()};
+  Script trace{alu_instr()};
   const Device device(gtx580());
   const ScriptKernel kernel(one_warp_blocks(2), trace);
   AggregateResult agg;

@@ -242,7 +242,11 @@ TEST(DatasetRobustness, PLargerThanN) {
   for (int c = 0; c < 12; ++c) {
     std::vector<double> col(6);
     for (auto& v : col) v = rng.uniform(0, 1);
-    ds.add_column("c" + std::to_string(c), col);
+    // Appended, not "c" + std::to_string(c), which trips a false GCC 12
+    // -Werror=restrict in Release builds.
+    std::string name(1, 'c');
+    name += std::to_string(c);
+    ds.add_column(name, col);
   }
   ds.add_column("time_ms", {1, 2, 3, 4, 5, 6});
   core::ModelOptions opt;

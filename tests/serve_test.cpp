@@ -863,6 +863,20 @@ TEST(ServeJson, ParsesEscapesAndRejectsGarbage) {
   EXPECT_THROW(serve::parse_json("'single'"), Error);
 }
 
+TEST(ServeJson, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(serve::parse_json(nested(serve::kMaxJsonDepth)));
+  EXPECT_THROW(serve::parse_json(nested(serve::kMaxJsonDepth + 1)), Error);
+  // Far past any stack: rejected, not a crash.
+  EXPECT_THROW(serve::parse_json(std::string(900000, '[')), Error);
+  EXPECT_THROW(serve::parse_json("{\"a\":" + nested(serve::kMaxJsonDepth) +
+                                 "}"),
+               Error);
+}
+
 TEST(ServeJson, EscapeAndNumberRoundTrip) {
   EXPECT_EQ(serve::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
   EXPECT_EQ(serve::json_escape(std::string(1, '\x01')), "\\u0001");
