@@ -52,7 +52,7 @@ void compare_on(const std::string& label, const ml::Dataset& sweep) {
   fp.min_node_size = 2;
   fp.importance = false;
   rf.fit(x_train, y_train, predictors, fp);
-  score("random forest", rf.predict(x_test));
+  score("random forest", ml::FlatForest::freeze(rf).predict(x_test));
 
   ml::Glm glm;
   ml::GlmParams gp;

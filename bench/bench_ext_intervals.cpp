@@ -31,8 +31,8 @@ int main() {
   const auto model = core::BlackForestModel::fit(sweep, mo);
 
   const auto top = model.top_variables(1);
-  const auto curve =
-      model.forest().partial_dependence_interval(top[0], 18, 0.2);
+  const auto curve = model.flat().partial_dependence_interval(
+      model.train_data().to_matrix(model.predictors()), top[0], 18, 0.2);
 
   report::Series mean_s{ "mean", {}, {} };
   report::Series lo_s{ "p10", {}, {} };
@@ -64,7 +64,7 @@ int main() {
        r += std::max<std::size_t>(1, train.num_rows() / 8)) {
     std::vector<double> row;
     for (const auto& p : predictors) row.push_back(train.at(r, p));
-    const auto iv = model.forest().predict_interval(row.data(), 0.2);
+    const auto iv = model.flat().predict_interval(row.data(), 0.2);
     std::printf("  %-10.0f %-12.4f [%9.4f, %9.4f]    %.1f%%\n",
                 train.at(r, profiling::kSizeColumn), iv.mean, iv.lo, iv.hi,
                 100.0 * (iv.hi - iv.lo) / iv.mean);

@@ -101,11 +101,13 @@ std::vector<double> BlackForestModel::predict(const ml::Dataset& ds) const {
   return flat_.predict(x);
 }
 
-void BlackForestModel::refreeze(ml::TreeLayout layout) {
-  BF_CHECK_MSG(forest_.fitted(),
-               "refreeze needs the training-side forest (models loaded "
-               "from a flat-only record cannot change layout)");
-  flat_ = ml::FlatForest::freeze(forest_, layout);
+std::vector<ml::PartialDependencePoint> BlackForestModel::partial_dependence(
+    const std::string& predictor, std::size_t grid) const {
+  BF_CHECK_MSG(train_.num_rows() > 0,
+               "partial dependence needs the training rows (models loaded "
+               "from a bundle do not carry them)");
+  return flat_.partial_dependence(train_.to_matrix(predictors_), predictor,
+                                  grid);
 }
 
 void BlackForestModel::save(std::ostream& os) const {
@@ -124,6 +126,14 @@ void BlackForestModel::save(std::ostream& os) const {
 
 BlackForestModel BlackForestModel::load(std::istream& is) {
   const int format_version = read_format_version(is, "bf_model", 2);
+  // Version 1 stored the pointer forest. Its reader is retired rather
+  // than validated: export has written version 2 since the flat engine
+  // landed, so no version-1 record is in use.
+  BF_CHECK_MSG(format_version == 2,
+               "bf_model format_version "
+                   << format_version
+                   << " (pointer-tree forest) is no longer read; re-export "
+                      "the model with bf_analyze --export-model");
   BlackForestModel model;
   std::size_t n = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> n) && n >= 1 && n <= 100'000,
@@ -135,14 +145,7 @@ BlackForestModel BlackForestModel::load(std::istream& is) {
   BF_CHECK_MSG(
       static_cast<bool>(is >> model.test_mse_ >> model.test_explained_var_),
       "bf_model: truncated statistics");
-  if (format_version == 1) {
-    // Pre-flat bundle: load the pointer forest and freeze it on the spot,
-    // so old artifacts serve through the same fast path as new ones.
-    model.forest_ = ml::RandomForest::load(is);
-    model.flat_ = ml::FlatForest::freeze(model.forest_);
-  } else {
-    model.flat_ = ml::FlatForest::load(is);
-  }
+  model.flat_ = ml::FlatForest::load(is);
   BF_CHECK_MSG(model.flat_.feature_names() == model.predictors_,
                "bf_model: forest features disagree with predictor list");
   return model;

@@ -14,7 +14,7 @@
 //   2. Counter models carry a fallback chain (MARS -> GLM -> log-log
 //      linear -> power-law), demoted at predict time when the chosen
 //      model violates sanity bounds (core/counter_models + predictor).
-//   3. Forest per-tree spread (ml::RandomForest::predict_interval) is
+//   3. Forest per-tree spread (ml::FlatForest::predict_interval) is
 //      graded: wide intervals downgrade confidence.
 //   4. Everything lands in a GuardReport — per-counter chosen model, CV
 //      error, clamps fired, extrapolation flags, and an A/B/C confidence

@@ -34,30 +34,37 @@ inline std::int64_t pack_lane(std::int32_t lane, std::int32_t node) {
          (static_cast<std::int64_t>(node) << 32);
 }
 
+/// The partial-dependence grid: `points` values evenly spanning the
+/// observed range of column `f` of `background`.
+std::vector<double> pd_grid(const linalg::Matrix& background, std::size_t f,
+                            std::size_t points) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (std::size_t r = 0; r < background.rows(); ++r) {
+    lo = std::min(lo, background(r, f));
+    hi = std::max(hi, background(r, f));
+  }
+  std::vector<double> grid(points);
+  for (std::size_t g = 0; g < points; ++g) {
+    grid[g] = lo + (hi - lo) * static_cast<double>(g) /
+                       static_cast<double>(points - 1);
+  }
+  return grid;
+}
+
 }  // namespace
 
-const char* tree_layout_name(TreeLayout layout) {
-  switch (layout) {
-    case TreeLayout::kDepthFirst:
-      return "df";
-    case TreeLayout::kBreadthFirst:
-      return "bf";
-  }
-  BF_CHECK_MSG(false, "unknown tree layout");
-  return "?";
+double sorted_quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t i = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(i);
+  if (i + 1 >= sorted.size()) return sorted.back();
+  return sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
 }
 
-TreeLayout tree_layout_from_name(const std::string& name) {
-  if (name == "df") return TreeLayout::kDepthFirst;
-  if (name == "bf") return TreeLayout::kBreadthFirst;
-  BF_CHECK_MSG(false, "unknown tree layout name: " << name);
-  return TreeLayout::kDepthFirst;
-}
-
-FlatForest FlatForest::freeze(const RandomForest& forest, TreeLayout layout) {
+FlatForest FlatForest::freeze(const RandomForest& forest) {
   BF_CHECK_MSG(forest.fitted(), "freeze on unfitted forest");
   FlatForest out;
-  out.layout_ = layout;
   out.feature_names_ = forest.feature_names();
   out.feature_medians_ = forest.feature_medians();
   BF_CHECK_MSG(out.feature_medians_.size() == out.feature_names_.size(),
@@ -79,26 +86,17 @@ FlatForest FlatForest::freeze(const RandomForest& forest, TreeLayout layout) {
     return idx;
   };
 
-  // (source node, destination slot) work items. Depth-first consumes the
-  // list as a stack, breadth-first as a queue; in both cases a node's
-  // children are allocated as an adjacent pair the moment the node is
-  // placed, which is what keeps right == left + 1 true for either order.
+  // (source node, destination slot) work items, consumed as a stack
+  // (depth-first). A node's children are allocated as an adjacent pair
+  // the moment the node is placed, which keeps right == left + 1.
   std::vector<std::pair<std::int32_t, std::int32_t>> work;
   for (std::size_t t = 0; t < forest.n_trees(); ++t) {
     const RegressionTree& tree = forest.tree(t);
     out.roots_.push_back(alloc_node());
-    work.clear();
-    std::size_t head = 0;
     work.emplace_back(0, out.roots_.back());
-    while (head < work.size()) {
-      std::pair<std::int32_t, std::int32_t> item;
-      if (layout == TreeLayout::kDepthFirst) {
-        item = work.back();
-        work.pop_back();
-      } else {
-        item = work[head++];
-      }
-      const auto [src, dst] = item;
+    while (!work.empty()) {
+      const auto [src, dst] = work.back();
+      work.pop_back();
       const RegressionTree::NodeView view = tree.node_view(src);
       FlatNode& node = out.nodes_[static_cast<std::size_t>(dst)];
       if (view.left == -1) {
@@ -117,13 +115,8 @@ FlatForest FlatForest::freeze(const RandomForest& forest, TreeLayout layout) {
       placed.left = l;
       placed.feature = view.feature;
       placed.tv = view.threshold;
-      if (layout == TreeLayout::kDepthFirst) {
-        work.emplace_back(view.right, r);
-        work.emplace_back(view.left, l);
-      } else {
-        work.emplace_back(view.left, l);
-        work.emplace_back(view.right, r);
-      }
+      work.emplace_back(view.right, r);
+      work.emplace_back(view.left, l);
     }
   }
   return out;
@@ -132,9 +125,8 @@ FlatForest FlatForest::freeze(const RandomForest& forest, TreeLayout layout) {
 const double* FlatForest::sanitize_row(const double* row,
                                        double* buffer) const {
   const std::size_t p = feature_medians_.size();
-  // Same repair path as RandomForest::sanitize_row, including the
-  // injected single-feature corruption, so guarded predictions stay
-  // bit-identical under armed faults too.
+  // Injected corruption: one feature becomes NaN before the trees see
+  // it, exercising the same repair path real dropped counters take.
   if (fault::should_fire(fault::points::kForestNanFeature)) {
     std::copy(row, row + p, buffer);
     buffer[0] = std::numeric_limits<double>::quiet_NaN();
@@ -207,7 +199,7 @@ void FlatForest::accumulate_block(const double* rows, std::size_t p,
   // links, ANDed across lanes, say when every lane has parked. Leaf
   // values are added straight into the per-row accumulators; the caller
   // drives tree ranges in ascending order, so each row's sum is built in
-  // tree order exactly like the pointer path.
+  // tree order exactly like the single-row path.
   for (std::size_t t = t0; t < t1; ++t) {
     const std::int32_t root = roots_[t];
     std::int32_t idx[kRowBlock];
@@ -311,21 +303,14 @@ PredictionInterval FlatForest::predict_interval(const double* row,
   row = sanitize_row(row, scratch.repaired.data());
   tree_leaf_values(row, scratch.tree_values.data(), scratch);
   std::vector<double>& preds = scratch.tree_values;
-  // Sum before sorting: tree order first, same as the pointer path.
+  // Sum before sorting: the mean is the tree-order sum, as in predict_row.
   double acc = 0.0;
   for (std::size_t t = 0; t < nt; ++t) acc += preds[t];
   std::sort(preds.begin(), preds.end());
-  const auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(preds.size() - 1);
-    const std::size_t i = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    if (i + 1 >= preds.size()) return preds.back();
-    return preds[i] * (1.0 - frac) + preds[i + 1] * frac;
-  };
   PredictionInterval out;
   out.mean = acc / static_cast<double>(nt);
-  out.lo = quantile(alpha / 2.0);
-  out.hi = quantile(1.0 - alpha / 2.0);
+  out.lo = sorted_quantile(preds, alpha / 2.0);
+  out.hi = sorted_quantile(preds, 1.0 - alpha / 2.0);
   return out;
 }
 
@@ -348,11 +333,85 @@ std::vector<PredictionInterval> FlatForest::predict_intervals(
   return out;
 }
 
+std::size_t FlatForest::pd_column(const linalg::Matrix& background,
+                                  const std::string& feature,
+                                  std::size_t grid_points) const {
+  BF_CHECK_MSG(fitted(), "partial dependence on unfitted flat forest");
+  BF_CHECK_MSG(grid_points >= 2, "need at least 2 grid points");
+  BF_CHECK_MSG(background.rows() >= 1 &&
+                   background.cols() == feature_names_.size(),
+               "partial dependence needs background rows with one column "
+               "per feature");
+  const auto it =
+      std::find(feature_names_.begin(), feature_names_.end(), feature);
+  BF_CHECK_MSG(it != feature_names_.end(), "unknown feature: " << feature);
+  return static_cast<std::size_t>(it - feature_names_.begin());
+}
+
+std::vector<PartialDependencePoint> FlatForest::partial_dependence(
+    const linalg::Matrix& background, const std::string& feature,
+    std::size_t grid_points) const {
+  const std::size_t f = pd_column(background, feature, grid_points);
+  const std::size_t n = background.rows();
+  linalg::Matrix clamped = background;
+  std::vector<double> preds;
+  ForestScratch scratch;
+  std::vector<PartialDependencePoint> curve;
+  for (const double v : pd_grid(background, f, grid_points)) {
+    for (std::size_t r = 0; r < n; ++r) clamped(r, f) = v;
+    predict(clamped, preds, scratch);
+    double acc = 0.0;
+    for (const double y : preds) acc += y;
+    curve.push_back({v, acc / static_cast<double>(n)});
+  }
+  return curve;
+}
+
+std::vector<PartialDependenceInterval> FlatForest::partial_dependence_interval(
+    const linalg::Matrix& background, const std::string& feature,
+    std::size_t grid_points, double alpha) const {
+  BF_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
+  const std::size_t f = pd_column(background, feature, grid_points);
+  const std::size_t n = background.rows();
+  const std::size_t nt = roots_.size();
+  linalg::Matrix clamped = background;
+  ForestScratch scratch;
+  scratch.repaired.resize(background.cols());
+  scratch.tree_values.resize(nt);
+  std::vector<double> per_tree(nt);
+  std::vector<PartialDependenceInterval> curve;
+  for (const double v : pd_grid(background, f, grid_points)) {
+    // Per tree: the mean leaf value over the background rows with the
+    // feature clamped; the band is over trees, matching how bagging
+    // variance is usually visualised.
+    std::fill(per_tree.begin(), per_tree.end(), 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      clamped(r, f) = v;
+      tree_leaf_values(
+          sanitize_row(clamped.row_ptr(r), scratch.repaired.data()),
+          scratch.tree_values.data(), scratch);
+      for (std::size_t t = 0; t < nt; ++t) {
+        per_tree[t] += scratch.tree_values[t];
+      }
+    }
+    for (auto& s : per_tree) s /= static_cast<double>(n);
+    std::sort(per_tree.begin(), per_tree.end());
+    double mean = 0.0;
+    for (const double s : per_tree) mean += s;
+    curve.push_back({v,
+                     {mean / static_cast<double>(nt),
+                      sorted_quantile(per_tree, alpha / 2.0),
+                      sorted_quantile(per_tree, 1.0 - alpha / 2.0)}});
+  }
+  return curve;
+}
+
 void FlatForest::save(std::ostream& os) const {
   BF_CHECK_MSG(fitted(), "save on unfitted flat forest");
   os << "bf_flat_forest 1\n";
   os.precision(17);
-  os << "layout " << tree_layout_name(layout_) << "\n";
+  // The layout tag is fixed: freeze only lays trees out depth-first.
+  os << "layout df\n";
   os << "features " << feature_names_.size();
   for (const auto& name : feature_names_) os << ' ' << name;
   os << "\n";
@@ -374,9 +433,9 @@ FlatForest FlatForest::load(std::istream& is) {
   FlatForest ff;
   std::string tag;
   std::string layout_name;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag >> layout_name) && tag == "layout",
-               "bf_flat_forest: malformed layout record");
-  ff.layout_ = tree_layout_from_name(layout_name);
+  BF_CHECK_MSG(static_cast<bool>(is >> tag >> layout_name) &&
+                   tag == "layout" && layout_name == "df",
+               "bf_flat_forest: malformed layout record (only 'df' is read)");
   std::size_t p = 0;
   BF_CHECK_MSG(static_cast<bool>(is >> tag >> p) && tag == "features" &&
                    p >= 1 && p <= 100'000,

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <fstream>
-#include <mutex>
 #include <numeric>
 
 #include "common/error.hpp"
-#include "common/fault.hpp"
-#include "common/io.hpp"
 #include "common/thread_pool.hpp"
 #include "ml/metrics.hpp"
 
@@ -95,8 +91,6 @@ void RandomForest::fit(const linalg::Matrix& x, const std::vector<double>& y,
   const std::size_t n = x.rows();
   const std::size_t p = x.cols();
   feature_names_ = std::move(feature_names);
-  train_x_ = x;
-  train_y_ = y;
   has_importance_ = params.importance;
 
   TreeParams tree_params;
@@ -159,7 +153,7 @@ void RandomForest::fit(const linalg::Matrix& x, const std::vector<double>& y,
   }
   if (!covered_true.empty()) {
     oob_mse_ = mse(covered_true, covered_pred);
-    const double var = variance(train_y_);
+    const double var = variance(y);
     pct_var_explained_ = var > 0.0 ? 100.0 * (1.0 - oob_mse_ / var) : 0.0;
   } else {
     oob_mse_ = 0.0;
@@ -182,61 +176,21 @@ void RandomForest::fit(const linalg::Matrix& x, const std::vector<double>& y,
       for (std::size_t f = 0; f < p; ++f) imp_purity_[f] += purity[f];
     }
   }
-  compute_feature_medians();
+  compute_feature_medians(x);
 }
 
-void RandomForest::compute_feature_medians() {
-  const std::size_t n = train_x_.rows();
-  const std::size_t p = train_x_.cols();
+void RandomForest::compute_feature_medians(const linalg::Matrix& x) {
+  const std::size_t n = x.rows();
+  const std::size_t p = x.cols();
   feature_medians_.assign(p, 0.0);
   if (n == 0) return;
   std::vector<double> col(n);
   for (std::size_t f = 0; f < p; ++f) {
-    for (std::size_t r = 0; r < n; ++r) col[r] = train_x_(r, f);
+    for (std::size_t r = 0; r < n; ++r) col[r] = x(r, f);
     std::sort(col.begin(), col.end());
     feature_medians_[f] =
         n % 2 == 1 ? col[n / 2] : 0.5 * (col[n / 2 - 1] + col[n / 2]);
   }
-}
-
-const double* RandomForest::sanitize_row(const double* row,
-                                         std::vector<double>& buffer) const {
-  const std::size_t p = feature_names_.size();
-  // Injected corruption: one feature becomes NaN before the trees see
-  // it, exercising the same repair path real dropped counters take.
-  if (fault::should_fire(fault::points::kForestNanFeature)) {
-    buffer.assign(row, row + p);
-    buffer[0] = std::numeric_limits<double>::quiet_NaN();
-    row = buffer.data();
-  }
-  for (std::size_t f = 0; f < p; ++f) {
-    if (std::isfinite(row[f])) continue;
-    if (buffer.empty()) {
-      buffer.assign(row, row + p);
-      row = buffer.data();
-    }
-    buffer[f] = feature_medians_[f];
-  }
-  return row;
-}
-
-double RandomForest::predict_row(const double* row) const {
-  BF_CHECK_MSG(fitted(), "predict on unfitted forest");
-  std::vector<double> repaired;
-  row = sanitize_row(row, repaired);
-  double acc = 0.0;
-  for (const auto& tree : trees_) acc += tree.predict_row(row);
-  return acc / static_cast<double>(trees_.size());
-}
-
-std::vector<double> RandomForest::predict(const linalg::Matrix& x) const {
-  BF_CHECK_MSG(x.cols() == feature_names_.size(),
-               "prediction matrix has wrong number of columns");
-  std::vector<double> out(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    out[r] = predict_row(x.row_ptr(r));
-  }
-  return out;
 }
 
 std::vector<VariableImportance> RandomForest::importance() const {
@@ -268,273 +222,6 @@ std::vector<std::string> RandomForest::top_variables(std::size_t k) const {
     out.push_back(imp[i].name);
   }
   return out;
-}
-
-PredictionInterval RandomForest::predict_interval(const double* row,
-                                                  double alpha) const {
-  ForestScratch scratch;
-  return predict_interval(row, alpha, scratch);
-}
-
-PredictionInterval RandomForest::predict_interval(
-    const double* row, double alpha, ForestScratch& scratch) const {
-  BF_CHECK_MSG(fitted(), "predict_interval on unfitted forest");
-  BF_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-  // sanitize_row uses emptiness to mean "row not yet copied"; a reused
-  // scratch buffer must start empty (capacity is retained, so no
-  // allocation happens after the first call).
-  scratch.repaired.clear();
-  row = sanitize_row(row, scratch.repaired);
-  std::vector<double>& preds = scratch.tree_values;
-  preds.clear();
-  preds.reserve(trees_.size());
-  double acc = 0.0;
-  for (const auto& tree : trees_) {
-    const double v = tree.predict_row(row);
-    preds.push_back(v);
-    acc += v;
-  }
-  std::sort(preds.begin(), preds.end());
-  const auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(preds.size() - 1);
-    const std::size_t i = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    if (i + 1 >= preds.size()) return preds.back();
-    return preds[i] * (1.0 - frac) + preds[i + 1] * frac;
-  };
-  PredictionInterval out;
-  out.mean = acc / static_cast<double>(trees_.size());
-  out.lo = quantile(alpha / 2.0);
-  out.hi = quantile(1.0 - alpha / 2.0);
-  return out;
-}
-
-std::vector<PredictionInterval> RandomForest::predict_intervals(
-    const linalg::Matrix& x, double alpha) const {
-  BF_CHECK_MSG(x.cols() == feature_names_.size(),
-               "prediction matrix has wrong number of columns");
-  std::vector<PredictionInterval> out;
-  out.reserve(x.rows());
-  ForestScratch scratch;
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    out.push_back(predict_interval(x.row_ptr(r), alpha, scratch));
-  }
-  return out;
-}
-
-std::vector<PartialDependenceInterval>
-RandomForest::partial_dependence_interval(const std::string& feature,
-                                          std::size_t grid_points,
-                                          double alpha) const {
-  BF_CHECK_MSG(fitted(), "partial_dependence_interval on unfitted forest");
-  BF_CHECK_MSG(grid_points >= 2, "need at least 2 grid points");
-  const auto it =
-      std::find(feature_names_.begin(), feature_names_.end(), feature);
-  BF_CHECK_MSG(it != feature_names_.end(), "unknown feature: " << feature);
-  const std::size_t f =
-      static_cast<std::size_t>(it - feature_names_.begin());
-
-  const std::size_t n = train_x_.rows();
-  const std::size_t p = train_x_.cols();
-  double lo_x = std::numeric_limits<double>::infinity();
-  double hi_x = -lo_x;
-  for (std::size_t r = 0; r < n; ++r) {
-    lo_x = std::min(lo_x, train_x_(r, f));
-    hi_x = std::max(hi_x, train_x_(r, f));
-  }
-
-  std::vector<PartialDependenceInterval> curve(grid_points);
-  std::vector<double> row(p);
-  for (std::size_t g = 0; g < grid_points; ++g) {
-    const double v = lo_x + (hi_x - lo_x) * static_cast<double>(g) /
-                                static_cast<double>(grid_points - 1);
-    // Per tree: the average prediction over the training rows with the
-    // feature clamped; the band is over trees, matching how bagging
-    // variance is usually visualised.
-    std::vector<double> per_tree(trees_.size(), 0.0);
-    for (std::size_t r = 0; r < n; ++r) {
-      const double* src = train_x_.row_ptr(r);
-      std::copy(src, src + p, row.begin());
-      row[f] = v;
-      for (std::size_t t = 0; t < trees_.size(); ++t) {
-        per_tree[t] += trees_[t].predict_row(row.data());
-      }
-    }
-    for (auto& s : per_tree) s /= static_cast<double>(n);
-    std::sort(per_tree.begin(), per_tree.end());
-    const auto quantile = [&](double q) {
-      const double pos = q * static_cast<double>(per_tree.size() - 1);
-      const std::size_t i = static_cast<std::size_t>(pos);
-      const double frac = pos - static_cast<double>(i);
-      if (i + 1 >= per_tree.size()) return per_tree.back();
-      return per_tree[i] * (1.0 - frac) + per_tree[i + 1] * frac;
-    };
-    double mean = 0.0;
-    for (const double s : per_tree) mean += s;
-    curve[g].x = v;
-    curve[g].y.mean = mean / static_cast<double>(per_tree.size());
-    curve[g].y.lo = quantile(alpha / 2.0);
-    curve[g].y.hi = quantile(1.0 - alpha / 2.0);
-  }
-  return curve;
-}
-
-void RandomForest::save(std::ostream& os) const {
-  BF_CHECK_MSG(fitted(), "save on unfitted forest");
-  os << "bf_forest 1\n";
-  os.precision(17);
-  os << "features " << feature_names_.size();
-  for (const auto& name : feature_names_) os << ' ' << name;
-  os << "\n";
-  os << "stats " << oob_mse_ << ' ' << pct_var_explained_ << ' '
-     << (has_importance_ ? 1 : 0) << "\n";
-  os << "importance";
-  for (std::size_t f = 0; f < imp_mean_.size(); ++f) {
-    os << ' ' << imp_mean_[f] << ' ' << imp_sd_[f] << ' ' << imp_purity_[f];
-  }
-  os << "\n";
-  os << "train " << train_x_.rows() << ' ' << train_x_.cols() << "\n";
-  for (std::size_t r = 0; r < train_x_.rows(); ++r) {
-    for (std::size_t c = 0; c < train_x_.cols(); ++c) {
-      os << train_x_(r, c) << ' ';
-    }
-    os << train_y_[r] << "\n";
-  }
-  // OOB predictions can be NaN (rows never out-of-bag); text streams do
-  // not round-trip NaN portably, so store only the finite entries.
-  std::size_t finite = 0;
-  for (const double v : oob_predictions_) {
-    if (!std::isnan(v)) ++finite;
-  }
-  os << "oob " << finite;
-  for (std::size_t r = 0; r < oob_predictions_.size(); ++r) {
-    if (!std::isnan(oob_predictions_[r])) {
-      os << ' ' << r << ' ' << oob_predictions_[r];
-    }
-  }
-  os << "\n";
-  os << "trees " << trees_.size() << "\n";
-  for (const auto& tree : trees_) tree.save(os);
-}
-
-void RandomForest::save_file(const std::string& path) const {
-  std::ofstream os(path);
-  BF_CHECK_MSG(os.good(), "cannot open for writing: " << path);
-  save(os);
-  BF_CHECK_MSG(os.good(), "write failed: " << path);
-}
-
-RandomForest RandomForest::load(std::istream& is) {
-  RandomForest rf;
-  const int format_version = read_format_version(is, "bf_forest", 1);
-  (void)format_version;
-  std::string tag;
-  std::size_t p = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag >> p) && tag == "features",
-               "malformed features header");
-  rf.feature_names_.resize(p);
-  for (auto& name : rf.feature_names_) {
-    BF_CHECK_MSG(static_cast<bool>(is >> name), "missing feature name");
-  }
-  int has_imp = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag >> rf.oob_mse_ >>
-                                 rf.pct_var_explained_ >> has_imp) &&
-                   tag == "stats",
-               "malformed stats");
-  rf.has_importance_ = has_imp != 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag) && tag == "importance",
-               "malformed importance");
-  rf.imp_mean_.resize(p);
-  rf.imp_sd_.resize(p);
-  rf.imp_purity_.resize(p);
-  for (std::size_t f = 0; f < p; ++f) {
-    BF_CHECK_MSG(static_cast<bool>(is >> rf.imp_mean_[f] >> rf.imp_sd_[f] >>
-                                   rf.imp_purity_[f]),
-                 "malformed importance row");
-  }
-  std::size_t n = 0;
-  std::size_t cols = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag >> n >> cols) && tag == "train" &&
-                   cols == p,
-               "malformed train header");
-  rf.train_x_ = linalg::Matrix(n, p);
-  rf.train_y_.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < p; ++c) {
-      BF_CHECK_MSG(static_cast<bool>(is >> rf.train_x_(r, c)),
-                   "malformed train row");
-    }
-    BF_CHECK_MSG(static_cast<bool>(is >> rf.train_y_[r]),
-                 "malformed train response");
-  }
-  std::size_t finite = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag >> finite) && tag == "oob" &&
-                   finite <= n,
-               "malformed oob header");
-  rf.oob_predictions_.assign(n, std::numeric_limits<double>::quiet_NaN());
-  for (std::size_t i = 0; i < finite; ++i) {
-    std::size_t idx = 0;
-    double v = 0.0;
-    BF_CHECK_MSG(static_cast<bool>(is >> idx >> v) && idx < n,
-                 "malformed oob entry");
-    rf.oob_predictions_[idx] = v;
-  }
-  std::size_t n_trees = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag >> n_trees) && tag == "trees" &&
-                   n_trees >= 1,
-               "malformed trees header");
-  rf.trees_.reserve(n_trees);
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    rf.trees_.push_back(RegressionTree::load(is));
-  }
-  // Medians are derived state; recomputing keeps the on-disk format at
-  // version 1 while loaded forests still repair NaN queries.
-  rf.compute_feature_medians();
-  return rf;
-}
-
-RandomForest RandomForest::load_file(const std::string& path) {
-  std::ifstream is(path);
-  BF_CHECK_MSG(is.good(), "cannot open for reading: " << path);
-  return load(is);
-}
-
-std::vector<PartialDependencePoint> RandomForest::partial_dependence(
-    const std::string& feature, std::size_t grid_points) const {
-  BF_CHECK_MSG(fitted(), "partial_dependence on unfitted forest");
-  BF_CHECK_MSG(grid_points >= 2, "need at least 2 grid points");
-  const auto it =
-      std::find(feature_names_.begin(), feature_names_.end(), feature);
-  BF_CHECK_MSG(it != feature_names_.end(), "unknown feature: " << feature);
-  const std::size_t f =
-      static_cast<std::size_t>(it - feature_names_.begin());
-
-  const std::size_t n = train_x_.rows();
-  const std::size_t p = train_x_.cols();
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -lo;
-  for (std::size_t r = 0; r < n; ++r) {
-    lo = std::min(lo, train_x_(r, f));
-    hi = std::max(hi, train_x_(r, f));
-  }
-
-  std::vector<PartialDependencePoint> curve(grid_points);
-  std::vector<double> row(p);
-  for (std::size_t g = 0; g < grid_points; ++g) {
-    const double v =
-        lo + (hi - lo) * static_cast<double>(g) /
-                 static_cast<double>(grid_points - 1);
-    double acc = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      const double* src = train_x_.row_ptr(r);
-      std::copy(src, src + p, row.begin());
-      row[f] = v;
-      acc += predict_row(row.data());
-    }
-    curve[g].x = v;
-    curve[g].y = acc / static_cast<double>(n);
-  }
-  return curve;
 }
 
 }  // namespace bf::ml

@@ -5,11 +5,14 @@
 //  - mtry features considered per split (default max(1, p/3) for regression),
 //  - out-of-bag (OOB) predictions, OOB MSE and "% variance explained",
 //  - permutation variable importance (%IncMSE), computed tree by tree as
-//    the forest is constructed (paper §4.1.1),
-//  - partial dependence of the response on individual predictors.
+//    the forest is constructed (paper §4.1.1).
+//
+// RandomForest is fit-time only: it grows the trees and keeps the
+// training-side statistics. Every prediction — point, interval and
+// partial dependence — runs on the frozen ml::FlatForest
+// (FlatForest::freeze), the one inference engine.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -44,55 +47,12 @@ struct VariableImportance {
   double inc_node_purity = 0.0;
 };
 
-/// One point of a partial-dependence curve.
-struct PartialDependencePoint {
-  double x = 0.0;  ///< value the predictor is clamped to
-  double y = 0.0;  ///< average model prediction over the training rows
-};
-
-/// A forest prediction with an empirical uncertainty band (paper §7:
-/// "Integrating confidence intervals into the partial dependence plots
-/// would help interpretation and confidence in the outcome").
-struct PredictionInterval {
-  double mean = 0.0;
-  double lo = 0.0;  ///< lower quantile of the per-tree predictions
-  double hi = 0.0;  ///< upper quantile of the per-tree predictions
-};
-
-/// A partial-dependence point with the same band.
-struct PartialDependenceInterval {
-  double x = 0.0;
-  PredictionInterval y;
-};
-
-/// Caller-provided scratch for the allocation-free prediction paths
-/// (RandomForest::predict_interval and the FlatForest engine). Reuse one
-/// instance across calls; the buffers grow to the forest's size once and
-/// are then recycled.
-struct ForestScratch {
-  /// Repaired-row buffer for NaN-feature median repair.
-  std::vector<double> repaired;
-  /// Per-tree leaf values (quantile input for intervals).
-  std::vector<double> tree_values;
-  /// Lane state of the flat engine's compacted interleaved tree walk
-  /// (tree id and current node packed per lane).
-  std::vector<std::int64_t> walk_lanes;
-};
-
 class RandomForest {
  public:
   /// Fit the forest. Feature names are kept for reporting; pass one name
   /// per column of x.
   void fit(const linalg::Matrix& x, const std::vector<double>& y,
            std::vector<std::string> feature_names, const ForestParams& params);
-
-  /// Predict one row. Non-finite feature values (dropped counters, the
-  /// ml.forest.nan_feature fault) are repaired with the per-feature
-  /// training median before the trees see them — a NaN query degrades
-  /// gracefully instead of taking an arbitrary tree path. Finite rows
-  /// take a branch-free fast path with unchanged arithmetic.
-  double predict_row(const double* row) const;
-  std::vector<double> predict(const linalg::Matrix& x) const;
 
   /// OOB mean squared error (the forest's internal generalisation
   /// estimate). Rows never out-of-bag are excluded.
@@ -113,37 +73,11 @@ class RandomForest {
   /// Names of the top-k variables by %IncMSE.
   std::vector<std::string> top_variables(std::size_t k) const;
 
-  /// Partial dependence of the response on `feature` over a grid of
-  /// `grid_points` values spanning the observed range of that feature.
-  std::vector<PartialDependencePoint> partial_dependence(
-      const std::string& feature, std::size_t grid_points = 25) const;
-
-  /// Prediction with an empirical interval: [lo, hi] are the alpha/2 and
-  /// 1-alpha/2 quantiles of the individual tree predictions (alpha = 0.1
-  /// gives an 80% band). Wide bands flag extrapolation or sparse regions.
-  PredictionInterval predict_interval(const double* row,
-                                      double alpha = 0.1) const;
-
-  /// Allocation-free form: per-tree values and the repair buffer live in
-  /// `scratch`, which the caller reuses across rows. Bit-identical to the
-  /// allocating overload.
-  PredictionInterval predict_interval(const double* row, double alpha,
-                                      ForestScratch& scratch) const;
-
-  /// Batch form of predict_interval, one interval per row of `x`.
-  std::vector<PredictionInterval> predict_intervals(const linalg::Matrix& x,
-                                                    double alpha = 0.1) const;
-
-  /// Per-feature training medians (the predict-time repair values).
+  /// Per-feature training medians (the predict-time repair values the
+  /// frozen form carries).
   const std::vector<double>& feature_medians() const {
     return feature_medians_;
   }
-
-  /// Partial dependence with the same per-grid-point band (the paper's
-  /// §7 "confidence intervals in the partial dependence plots").
-  std::vector<PartialDependenceInterval> partial_dependence_interval(
-      const std::string& feature, std::size_t grid_points = 25,
-      double alpha = 0.1) const;
 
   std::size_t n_trees() const { return trees_.size(); }
   /// The t-th training-side tree (freeze input for ml::FlatForest).
@@ -153,27 +87,12 @@ class RandomForest {
   }
   bool fitted() const { return !trees_.empty(); }
 
-  /// Serialise the fitted forest (trees, feature names, OOB statistics,
-  /// importance accumulators and the retained training data that partial
-  /// dependence needs) to a text stream / file.
-  void save(std::ostream& os) const;
-  void save_file(const std::string& path) const;
-  static RandomForest load(std::istream& is);
-  static RandomForest load_file(const std::string& path);
-
  private:
-  /// Repair a query row: replaces non-finite features (and the feature
-  /// corrupted by an armed ml.forest.nan_feature point) with training
-  /// medians. Returns the row to predict from (`row` itself when clean).
-  const double* sanitize_row(const double* row,
-                             std::vector<double>& buffer) const;
-  void compute_feature_medians();
+  void compute_feature_medians(const linalg::Matrix& x);
 
   std::vector<RegressionTree> trees_;
   std::vector<std::string> feature_names_;
-  linalg::Matrix train_x_;           // retained for partial dependence
-  std::vector<double> train_y_;
-  std::vector<double> feature_medians_;  // derived from train_x_
+  std::vector<double> feature_medians_;
   std::vector<double> oob_predictions_;
   double oob_mse_ = 0.0;
   double pct_var_explained_ = 0.0;

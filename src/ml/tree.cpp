@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <istream>
 #include <numeric>
-#include <ostream>
-#include <string>
 
 #include "common/error.hpp"
 
@@ -289,42 +286,8 @@ std::size_t RegressionTree::prune(double alpha) {
     }
   }
   // Dead nodes stay in the table (unreachable); predict_row never visits
-  // them, and save/load round-trips them harmlessly.
+  // them, and FlatForest::freeze drops them.
   return collapsed;
-}
-
-void RegressionTree::save(std::ostream& os) const {
-  os << "tree " << nodes_.size() << "\n";
-  os.precision(17);
-  for (const Node& n : nodes_) {
-    os << n.left << ' ' << n.right << ' ' << n.feature << ' '
-       << n.threshold << ' ' << n.value << ' ' << n.sse_decrease << "\n";
-  }
-}
-
-// Trees are sub-records of a bf_forest stream; the enclosing forest
-// header carries the format_version for both.
-RegressionTree RegressionTree::load(std::istream& is) {  // bf-lint: allow(artifact-version)
-  std::string tag;
-  std::size_t count = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> tag >> count) && tag == "tree",
-               "malformed tree header");
-  RegressionTree tree;
-  tree.nodes_.resize(count);
-  for (Node& n : tree.nodes_) {
-    BF_CHECK_MSG(static_cast<bool>(is >> n.left >> n.right >> n.feature >>
-                                   n.threshold >> n.value >>
-                                   n.sse_decrease),
-                 "malformed tree node");
-    const auto in_range = [&](std::int32_t id) {
-      return id == -1 ||
-             (id >= 0 && static_cast<std::size_t>(id) < count);
-    };
-    BF_CHECK_MSG(in_range(n.left) && in_range(n.right),
-                 "tree node child out of range");
-  }
-  BF_CHECK_MSG(!tree.nodes_.empty(), "empty tree");
-  return tree;
 }
 
 std::vector<double> RegressionTree::impurity_importance(

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -57,11 +56,6 @@ class RegressionTree {
     double value = 0.0;
   };
   NodeView node_view(std::int32_t id) const;
-
-  /// Serialise the node table as one text line per node.
-  void save(std::ostream& os) const;
-  /// Reconstruct a tree saved by save(); throws bf::Error on bad input.
-  static RegressionTree load(std::istream& is);
 
   /// Cost-complexity (weakest-link) pruning, as §4.1.1 of the paper
   /// describes for standalone trees: repeatedly collapse the internal

@@ -146,6 +146,12 @@ BundleFile bundle_file_from_string(const std::string& content,
   std::istringstream is(content);
   const int format_version =
       read_format_version(is, "bfmodel", kBundleFormatVersion);
+  // Version 1 payloads carry the retired pointer-forest record.
+  BF_CHECK_MSG(format_version >= 2,
+               origin << ": bfmodel format_version " << format_version
+                      << " (pointer-tree forest) is no longer read; "
+                         "re-export the model with bf_analyze "
+                         "--export-model");
   std::string tag;
   std::size_t payload_size = 0;
   is >> tag >> payload_size;

@@ -31,11 +31,10 @@ namespace bf::serve {
 
 /// Current writer version of the outer bundle format. Version 2 payloads
 /// embed the forest in its frozen flat inference layout ("bf_model 2" /
-/// "bf_flat_forest 1" records) instead of the pointer-tree dump; version 1
-/// bundles still load — their forest is frozen on load, so either vintage
-/// serves through the same flat hot path. Version 3 adds an *optional*
+/// "bf_flat_forest 1" records); version 1 bundles (pointer-tree dumps)
+/// are rejected with a re-export hint. Version 3 adds an *optional*
 /// trailing power record (a bf::power::PowerPredictor trained on the same
-/// sweep); v1/v2 bundles — and v3 bundles exported without --power — load
+/// sweep); v2 bundles — and v3 bundles exported without --power — load
 /// with no power predictor and predict times bit-identically.
 inline constexpr int kBundleFormatVersion = 3;
 

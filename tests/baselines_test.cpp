@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 #include "ml/metrics.hpp"
 #include "ml/model_pool.hpp"
@@ -190,12 +191,13 @@ TEST(ForestIntervals, BandContainsMeanAndOrdersCorrectly) {
   params.n_trees = 150;
   params.seed = 5;
   rf.fit(x, y, {"s", "n"}, params);
+  const auto flat = FlatForest::freeze(rf);
 
   const double row[2] = {5.0, 5.0};
-  const auto interval = rf.predict_interval(row, 0.1);
+  const auto interval = flat.predict_interval(row, 0.1);
   EXPECT_LE(interval.lo, interval.mean);
   EXPECT_GE(interval.hi, interval.mean);
-  EXPECT_NEAR(interval.mean, rf.predict_row(row), 1e-9);
+  EXPECT_NEAR(interval.mean, flat.predict_row(row), 1e-9);
   EXPECT_GT(interval.hi - interval.lo, 0.0);
 }
 
@@ -211,9 +213,10 @@ TEST(ForestIntervals, WiderAlphaGivesNarrowerBand) {
   ForestParams params;
   params.n_trees = 200;
   rf.fit(x, y, {"x"}, params);
+  const auto flat = FlatForest::freeze(rf);
   const double row[1] = {5.0};
-  const auto narrow = rf.predict_interval(row, 0.5);   // 50% band
-  const auto wide = rf.predict_interval(row, 0.05);    // 95% band
+  const auto narrow = flat.predict_interval(row, 0.5);   // 50% band
+  const auto wide = flat.predict_interval(row, 0.05);    // 95% band
   EXPECT_LE(narrow.hi - narrow.lo, wide.hi - wide.lo);
 }
 
@@ -230,14 +233,15 @@ TEST(ForestIntervals, PartialDependenceWithBand) {
   ForestParams params;
   params.n_trees = 120;
   rf.fit(x, y, {"s", "noise"}, params);
-  const auto curve = rf.partial_dependence_interval("s", 10, 0.1);
+  const auto flat = FlatForest::freeze(rf);
+  const auto curve = flat.partial_dependence_interval(x, "s", 10, 0.1);
   ASSERT_EQ(curve.size(), 10u);
   for (const auto& p : curve) {
     EXPECT_LE(p.y.lo, p.y.mean + 1e-9);
     EXPECT_GE(p.y.hi, p.y.mean - 1e-9);
   }
   // The band's means must match the plain partial dependence curve.
-  const auto plain = rf.partial_dependence("s", 10);
+  const auto plain = flat.partial_dependence(x, "s", 10);
   for (std::size_t g = 0; g < curve.size(); ++g) {
     EXPECT_NEAR(curve[g].y.mean, plain[g].y, 1e-9);
     EXPECT_NEAR(curve[g].x, plain[g].x, 1e-12);
@@ -256,9 +260,11 @@ TEST(ForestIntervals, InvalidAlphaRejected) {
   ForestParams params;
   params.n_trees = 10;
   rf.fit(x, y, {"x"}, params);
+  const auto flat = FlatForest::freeze(rf);
   const double row[1] = {5.0};
-  EXPECT_THROW(rf.predict_interval(row, 0.0), Error);
-  EXPECT_THROW(rf.predict_interval(row, 1.0), Error);
+  EXPECT_THROW(flat.predict_interval(row, 0.0), Error);
+  EXPECT_THROW(flat.predict_interval(row, 1.0), Error);
+  EXPECT_THROW(flat.partial_dependence_interval(x, "x", 5, 0.0), Error);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "gpusim/arch.hpp"
 #include "guard/guard.hpp"
 #include "ml/dataset.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 #include "profiling/repository.hpp"
 #include "profiling/sweep.hpp"
@@ -497,16 +498,17 @@ TEST_F(Chaos, ForestNanFeatureFaultIsRepairedWithTrainingMedian) {
   params.n_trees = 60;
   params.seed = 7;
   rf.fit(x, y, {"a", "b"}, params);
+  const auto flat = ml::FlatForest::freeze(rf);
 
   const std::vector<double> query = {50.0, 4.0};
-  const double clean = rf.predict_row(query.data());
+  const double clean = flat.predict_row(query.data());
 
   std::vector<double> median_query = query;
   median_query[0] = rf.feature_medians()[0];
-  const double repaired_reference = rf.predict_row(median_query.data());
+  const double repaired_reference = flat.predict_row(median_query.data());
 
   fault::configure("ml.forest.nan_feature:1.0");
-  const double faulted = rf.predict_row(query.data());
+  const double faulted = flat.predict_row(query.data());
   fault::reset();
 
   EXPECT_EQ(faulted, repaired_reference);

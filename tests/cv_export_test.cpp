@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "ml/cv.hpp"
 #include "ml/metrics.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 #include "ml/linear_model.hpp"
 #include "report/export.hpp"
@@ -62,7 +63,7 @@ TEST(KfoldCv, ForestBeatsMeanPredictorOutOfFold) {
         p.n_trees = 60;
         p.importance = false;
         rf.fit(train.to_matrix({"x"}), train.column("y"), {"x"}, p);
-        return rf.predict(test.to_matrix({"x"}));
+        return ml::FlatForest::freeze(rf).predict(test.to_matrix({"x"}));
       });
   EXPECT_LT(cv.mean_mse, ml::variance(ds.column("y")) * 0.2);
 }

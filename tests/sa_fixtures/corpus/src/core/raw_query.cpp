@@ -1,6 +1,6 @@
-// Fixture: seeded guarded-predict violations — a per-row model query
-// and a direct forest prediction inside the core layer, both of which
-// must go through the guard layer's supervised entry points.
+// Fixture: seeded guarded-predict violations — per-row model queries in
+// the core layer must go through the guard layer. The forest call on
+// line 14 stays clean: the training-side forest has no predict member.
 struct Model {
   double predict_row(const double* x, int n) const;
   struct Forest {
@@ -11,6 +11,6 @@ struct Model {
 
 double query(const Model& m, const double* x, int n) {
   const double a = m.predict_row(x, n);  // seeded: guarded-predict
-  const double b = m.forest_.predict(x);  // seeded: guarded-predict
+  const double b = m.forest_.predict(x);  // clean: rule branch retired
   return a + b;
 }

@@ -194,7 +194,6 @@ const Expected kCorpusExpected[] = {
     {"unused-suppression", "src/common/unused.cpp", 4},
     {"guarded-predict", "src/core/raw_query.cpp", 5},
     {"guarded-predict", "src/core/raw_query.cpp", 13},
-    {"guarded-predict", "src/core/raw_query.cpp", 14},
     {"guarded-predict", "src/power/raw_power.cpp", 13},
     {"guarded-predict", "src/power/raw_power.cpp", 18},
     {"layer-dag", "src/ml/layered.hpp", 4},
