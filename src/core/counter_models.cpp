@@ -122,7 +122,7 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
   const linalg::Matrix x = transform_inputs(raw_x, options.log_inputs);
 
   for (const auto& counter : counters) {
-    // The inputs themselves need no model; predict_features copies them.
+    // The inputs themselves need no model.
     if (std::find(options.inputs.begin(), options.inputs.end(), counter) !=
         options.inputs.end()) {
       continue;
@@ -190,116 +190,112 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
     for (const double v : y_raw) tss += (v - ybar) * (v - ybar);
     info.r2 = tss > 0.0 ? 1.0 - info.residual_deviance / tss : 0.0;
 
-    entry.chain = {entry.kind};
-    if (options.fit_fallback_chain) {
-      // Fit the safe extrapolators. The log-log linear model is a
-      // degree-1 GLM on the same (log) basis; the power law anchors on
-      // the last two training points of the first input.
-      ml::GlmParams lp = options.glm;
-      lp.degree = 1;
-      lp.link = ml::LinkFunction::kIdentity;
-      if (options.log_inputs) lp.log_terms = false;
-      entry.loglin.fit(x, y, lp);
+    // Fit the safe extrapolators. The log-log linear model is a degree-1
+    // GLM on the same (log) basis; the power law anchors on the last two
+    // training points of the first input.
+    ml::GlmParams lp = options.glm;
+    lp.degree = 1;
+    lp.link = ml::LinkFunction::kIdentity;
+    if (options.log_inputs) lp.log_terms = false;
+    entry.loglin.fit(x, y, lp);
 
-      std::vector<double> first_input(y_raw.size());
-      for (std::size_t i = 0; i < y_raw.size(); ++i) {
-        first_input[i] = raw_x(i, 0);
-      }
-      const PowerLaw pl = fit_power_law(first_input, y_raw);
-      entry.pl_is_linear = pl.is_linear;
-      entry.pl_scale = pl.scale;
-      entry.pl_exp = pl.exponent;
-      entry.pl_x0 = pl.x0;
-      entry.pl_y0 = pl.y0;
-      entry.has_fallbacks = true;
+    std::vector<double> first_input(y_raw.size());
+    for (std::size_t i = 0; i < y_raw.size(); ++i) {
+      first_input[i] = raw_x(i, 0);
+    }
+    const PowerLaw pl = fit_power_law(first_input, y_raw);
+    entry.pl_is_linear = pl.is_linear;
+    entry.pl_scale = pl.scale;
+    entry.pl_exp = pl.exponent;
+    entry.pl_x0 = pl.x0;
+    entry.pl_y0 = pl.y0;
+    entry.has_fallbacks = true;
 
-      // Rank the demotion order by k-fold CV error on the raw counter
-      // scale. Note the *primary* stays the legacy RSS choice above so
-      // the untripped path is bit-identical; CV only orders fallbacks.
-      std::vector<std::string> cols = options.inputs;
-      cols.push_back(counter);
-      const ml::Dataset sub = ds.select_columns(cols);
-      const bool log_resp = entry.log_response;
-      const auto cv_for = [&](CounterModelKind kind) {
-        return ml::cv_rmse(
-            sub, counter, options.cv_folds, options.cv_seed,
-            [&, kind](const ml::Dataset& train, const ml::Dataset& test) {
-              const linalg::Matrix train_raw = train.to_matrix(options.inputs);
-              const linalg::Matrix test_raw = test.to_matrix(options.inputs);
-              std::vector<double> ty = train.column(counter);
-              std::vector<double> pred(test.num_rows());
-              if (kind == CounterModelKind::kPowerLaw) {
-                std::vector<double> txs(train.num_rows());
-                for (std::size_t i = 0; i < txs.size(); ++i) {
-                  txs[i] = train_raw(i, 0);
-                }
-                const PowerLaw fold_pl = fit_power_law(txs, ty);
-                for (std::size_t i = 0; i < pred.size(); ++i) {
-                  pred[i] = fold_pl.predict(test_raw(i, 0));
-                }
-                return pred;
+    // Rank the demotion order by k-fold CV error on the raw counter
+    // scale. The primary stays the RSS choice above; CV only orders the
+    // fallbacks behind it.
+    std::vector<std::string> cols = options.inputs;
+    cols.push_back(counter);
+    const ml::Dataset sub = ds.select_columns(cols);
+    const bool log_resp = entry.log_response;
+    const auto cv_for = [&](CounterModelKind kind) {
+      return ml::cv_rmse(
+          sub, counter, options.cv_folds, options.cv_seed,
+          [&, kind](const ml::Dataset& train, const ml::Dataset& test) {
+            const linalg::Matrix train_raw = train.to_matrix(options.inputs);
+            const linalg::Matrix test_raw = test.to_matrix(options.inputs);
+            std::vector<double> ty = train.column(counter);
+            std::vector<double> pred(test.num_rows());
+            if (kind == CounterModelKind::kPowerLaw) {
+              std::vector<double> txs(train.num_rows());
+              for (std::size_t i = 0; i < txs.size(); ++i) {
+                txs[i] = train_raw(i, 0);
               }
-              const linalg::Matrix tx =
-                  transform_inputs(train_raw, options.log_inputs);
-              const linalg::Matrix qx =
-                  transform_inputs(test_raw, options.log_inputs);
-              if (log_resp) {
-                for (double& v : ty) v = std::log2(v);
-              }
-              if (kind == CounterModelKind::kMars) {
-                ml::Mars m;
-                m.fit(tx, ty, options.mars);
-                for (std::size_t i = 0; i < pred.size(); ++i) {
-                  std::vector<double> row(qx.cols());
-                  for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
-                  pred[i] = m.predict_row(  // bf-lint: allow(guarded-predict)
-                      row.data(), row.size());
-                }
-              } else {
-                ml::GlmParams gp = options.glm;
-                if (options.log_inputs) gp.log_terms = false;
-                if (kind == CounterModelKind::kLogLinear) {
-                  gp.degree = 1;
-                  gp.link = ml::LinkFunction::kIdentity;
-                }
-                ml::Glm g;
-                g.fit(tx, ty, gp);
-                for (std::size_t i = 0; i < pred.size(); ++i) {
-                  std::vector<double> row(qx.cols());
-                  for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
-                  pred[i] = g.predict_row(  // bf-lint: allow(guarded-predict)
-                      row.data(), row.size());
-                }
-              }
-              if (log_resp) {
-                for (double& v : pred) {
-                  v = std::exp2(std::clamp(v, -60.0, 60.0));
-                }
+              const PowerLaw fold_pl = fit_power_law(txs, ty);
+              for (std::size_t i = 0; i < pred.size(); ++i) {
+                pred[i] = fold_pl.predict(test_raw(i, 0));
               }
               return pred;
-            });
-      };
+            }
+            const linalg::Matrix tx =
+                transform_inputs(train_raw, options.log_inputs);
+            const linalg::Matrix qx =
+                transform_inputs(test_raw, options.log_inputs);
+            if (log_resp) {
+              for (double& v : ty) v = std::log2(v);
+            }
+            if (kind == CounterModelKind::kMars) {
+              ml::Mars m;
+              m.fit(tx, ty, options.mars);
+              for (std::size_t i = 0; i < pred.size(); ++i) {
+                std::vector<double> row(qx.cols());
+                for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
+                pred[i] = m.predict_row(row.data(), row.size());
+              }
+            } else {
+              ml::GlmParams gp = options.glm;
+              if (options.log_inputs) gp.log_terms = false;
+              if (kind == CounterModelKind::kLogLinear) {
+                gp.degree = 1;
+                gp.link = ml::LinkFunction::kIdentity;
+              }
+              ml::Glm g;
+              g.fit(tx, ty, gp);
+              for (std::size_t i = 0; i < pred.size(); ++i) {
+                std::vector<double> row(qx.cols());
+                for (std::size_t j = 0; j < qx.cols(); ++j) row[j] = qx(i, j);
+                pred[i] = g.predict_row(row.data(), row.size());
+              }
+            }
+            if (log_resp) {
+              for (double& v : pred) {
+                v = std::exp2(std::clamp(v, -60.0, 60.0));
+              }
+            }
+            return pred;
+          });
+    };
 
-      struct Cand {
-        CounterModelKind kind;
-        double rmse;
-      };
-      std::vector<Cand> cands;
-      if (want_glm) cands.push_back({CounterModelKind::kGlm, 0.0});
-      if (want_mars) cands.push_back({CounterModelKind::kMars, 0.0});
-      cands.push_back({CounterModelKind::kLogLinear, 0.0});
-      cands.push_back({CounterModelKind::kPowerLaw, 0.0});
-      for (auto& c : cands) c.rmse = cv_for(c.kind);
-      for (const auto& c : cands) {
-        if (c.kind == entry.kind) info.cv_rmse = c.rmse;
-      }
-      std::stable_sort(cands.begin(), cands.end(),
-                       [](const Cand& a, const Cand& b) {
-                         return a.rmse < b.rmse;
-                       });
-      for (const auto& c : cands) {
-        if (c.kind != entry.kind) entry.chain.push_back(c.kind);
-      }
+    struct Cand {
+      CounterModelKind kind;
+      double rmse;
+    };
+    entry.chain = {entry.kind};
+    std::vector<Cand> cands;
+    if (want_glm) cands.push_back({CounterModelKind::kGlm, 0.0});
+    if (want_mars) cands.push_back({CounterModelKind::kMars, 0.0});
+    cands.push_back({CounterModelKind::kLogLinear, 0.0});
+    cands.push_back({CounterModelKind::kPowerLaw, 0.0});
+    for (auto& c : cands) c.rmse = cv_for(c.kind);
+    for (const auto& c : cands) {
+      if (c.kind == entry.kind) info.cv_rmse = c.rmse;
+    }
+    std::stable_sort(cands.begin(), cands.end(),
+                     [](const Cand& a, const Cand& b) {
+                       return a.rmse < b.rmse;
+                     });
+    for (const auto& c : cands) {
+      if (c.kind != entry.kind) entry.chain.push_back(c.kind);
     }
     info.chain = entry.chain;
 
@@ -307,12 +303,6 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
     out.info_.push_back(std::move(info));
   }
   return out;
-}
-
-double CounterModels::predict_entry(const Entry& entry,
-                                    std::span<const double> inputs,
-                                    std::vector<double>& scratch) const {
-  return predict_entry_kind(entry, entry.kind, inputs, scratch, nullptr);
 }
 
 double CounterModels::predict_entry_kind(const Entry& entry,
@@ -337,13 +327,13 @@ double CounterModels::predict_entry_kind(const Entry& entry,
       for (double& u : scratch) u = log_input(u);
     }
     if (kind == CounterModelKind::kMars) {
-      v = entry.mars.predict_row(scratch.data(), scratch.size());  // bf-lint: allow(guarded-predict)
+      v = entry.mars.predict_row(scratch.data(), scratch.size());
     } else if (kind == CounterModelKind::kLogLinear) {
       BF_CHECK_MSG(entry.has_fallbacks,
                    "log-linear fallback was not fit for " << entry.counter);
-      v = entry.loglin.predict_row(scratch.data(), scratch.size());  // bf-lint: allow(guarded-predict)
+      v = entry.loglin.predict_row(scratch.data(), scratch.size());
     } else {
-      v = entry.glm.predict_row(scratch.data(), scratch.size());  // bf-lint: allow(guarded-predict)
+      v = entry.glm.predict_row(scratch.data(), scratch.size());
     }
     if (entry.log_response) v = std::exp2(std::clamp(v, -60.0, 60.0));
   }
@@ -402,32 +392,11 @@ std::vector<std::pair<std::string, double>> CounterModels::predict(
   out.reserve(entries_.size());
   std::vector<double> scratch;
   for (const auto& entry : entries_) {
-    out.emplace_back(entry.counter, predict_entry(entry, inputs, scratch));
+    out.emplace_back(entry.counter,
+                     predict_entry_kind(entry, entry.kind, inputs, scratch,
+                                        nullptr));
   }
   return out;
-}
-
-ml::Dataset CounterModels::predict_features(
-    const std::vector<double>& sizes) const {
-  BF_CHECK_MSG(inputs_.size() == 1,
-               "predict_features requires a single-input model");
-  ml::Dataset ds;
-  ds.add_column(inputs_[0], sizes);
-  // One reused input cell and log-transform scratch across the whole
-  // size x counter grid — this is the serving hot path (every
-  // predict_time call lands here), so it must not allocate per size.
-  double in[1];
-  std::vector<double> scratch;
-  for (const auto& entry : entries_) {
-    std::vector<double> col;
-    col.reserve(sizes.size());
-    for (const double s : sizes) {
-      in[0] = s;
-      col.push_back(predict_entry(entry, std::span<const double>(in), scratch));
-    }
-    ds.add_column(entry.counter, std::move(col));
-  }
-  return ds;
 }
 
 double CounterModels::average_r2() const {

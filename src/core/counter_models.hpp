@@ -6,13 +6,13 @@
 // execution time will be predicted by the random forest").
 //
 // Trivial counters get generalised linear models; gnarlier ones get MARS,
-// matching the paper's use of glm for MM and earth for NW. With
-// fit_fallback_chain enabled each counter additionally carries simpler
-// fallback models (log-log linear, power-law through the last two
-// points), ranked by k-fold CV error; the guard layer demotes along the
-// chain at predict time when the chosen model's output violates sanity
-// bounds. Every prediction leaves through one clamped exit point, so no
-// model can feed a negative counter value to the forest.
+// matching the paper's use of glm for MM and earth for NW. Each counter
+// additionally carries simpler fallback models (log-log linear,
+// power-law through the last two points), ranked by k-fold CV error; the
+// guard layer demotes along the chain at predict time when the chosen
+// model's output violates sanity bounds. Every prediction leaves through
+// one clamped exit point, so no model can feed a negative counter value
+// to the forest.
 #pragma once
 
 #include <iosfwd>
@@ -55,11 +55,8 @@ struct CounterModelOptions {
   /// more than two decades; predictions are mapped back with exp2. This
   /// keeps wide-range count counters positive and accurate.
   bool auto_log_response = true;
-  /// Also fit the fallback models (log-log linear, power-law) and rank
-  /// the demotion order by k-fold CV error. The *primary* selection is
-  /// unchanged (the legacy RSS rule), so predictions stay bit-identical
-  /// until a guard actually demotes.
-  bool fit_fallback_chain = false;
+  /// Folds and seed of the CV that orders each counter's fallback chain
+  /// (the primary model is chosen by training RSS, not by CV).
   std::size_t cv_folds = 5;
   std::uint64_t cv_seed = 17;
   ml::GlmParams glm;
@@ -72,9 +69,9 @@ struct CounterModelInfo {
   CounterModelKind chosen = CounterModelKind::kGlm;
   double r2 = 0.0;
   double residual_deviance = 0.0;  ///< GLM-style RSS on the response scale
-  /// K-fold CV RMSE of the chosen model (0 when the chain was not fit).
+  /// K-fold CV RMSE of the chosen model.
   double cv_rmse = 0.0;
-  /// Demotion order, chosen model first (single entry without a chain).
+  /// Demotion order, chosen model first.
   std::vector<CounterModelKind> chain;
 };
 
@@ -89,10 +86,6 @@ class CounterModels {
   /// as options.inputs); returns pairs (counter, value).
   std::vector<std::pair<std::string, double>> predict(
       const std::vector<double>& inputs) const;
-
-  /// Predict a full feature dataset over a vector of problem sizes
-  /// (single-input convenience; includes the input column itself).
-  ml::Dataset predict_features(const std::vector<double>& sizes) const;
 
   /// Predict counter `entry` with one specific model from its chain
   /// (the guard layer's demotion primitive). When `negative_clamped` is
@@ -135,11 +128,12 @@ class CounterModels {
     bool clamp_negative = true;
     ml::Glm glm;
     ml::Mars mars;
-    // ---- fallback chain (fit_fallback_chain) ----
+    // ---- fallback chain ----
     ml::Glm loglin;
     /// Power law y = pl_scale * s^pl_exp on the first input; when the
     /// anchor points are non-positive a linear segment through the last
-    /// two points is used instead.
+    /// two points is used instead. has_fallbacks is false only in
+    /// bundles written without the chain, which still load.
     bool has_fallbacks = false;
     bool pl_is_linear = false;
     double pl_scale = 0.0;
@@ -149,8 +143,6 @@ class CounterModels {
     std::vector<CounterModelKind> chain;
   };
 
-  double predict_entry(const Entry& entry, std::span<const double> inputs,
-                       std::vector<double>& scratch) const;
   double predict_entry_kind(const Entry& entry, CounterModelKind kind,
                             std::span<const double> inputs,
                             std::vector<double>& scratch,

@@ -205,9 +205,11 @@ DomainGuard DomainGuard::load(std::istream& is) {
 void save_options(std::ostream& os, const GuardOptions& options) {
   os.precision(17);
   os << "bf_guard_options 1\n";
-  os << (options.enabled ? 1 : 0) << ' ' << options.margin << ' '
-     << options.far << ' ' << options.interval_b << ' ' << options.interval_c
-     << ' ' << options.demote_slack << ' ' << options.monotone_floor << ' '
+  // The leading 1 fills the slot of the retired `enabled` switch: the
+  // guard is always on, and the constant keeps bundle bytes unchanged.
+  os << "1 " << options.margin << ' ' << options.far << ' '
+     << options.interval_b << ' ' << options.interval_c << ' '
+     << options.demote_slack << ' ' << options.monotone_floor << ' '
      << options.cap_tolerance << ' ' << options.cv_folds << "\n";
 }
 
@@ -215,13 +217,12 @@ GuardOptions load_options(std::istream& is) {
   const int format_version = read_format_version(is, "bf_guard_options", 1);
   (void)format_version;
   GuardOptions o;
-  int enabled = 0;
-  BF_CHECK_MSG(static_cast<bool>(is >> enabled >> o.margin >> o.far >>
+  int retired_switch = 0;  // see save_options; any value loads guarded
+  BF_CHECK_MSG(static_cast<bool>(is >> retired_switch >> o.margin >> o.far >>
                                  o.interval_b >> o.interval_c >>
                                  o.demote_slack >> o.monotone_floor >>
                                  o.cap_tolerance >> o.cv_folds),
                "malformed bf_guard_options record");
-  o.enabled = enabled != 0;
   return o;
 }
 

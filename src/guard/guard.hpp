@@ -43,8 +43,6 @@ char grade_letter(Grade g);
 Grade worse(Grade a, Grade b);
 
 struct GuardOptions {
-  /// Master switch. Off = the legacy unguarded path, bit for bit.
-  bool enabled = true;
   /// Hull slack as a fraction of the per-feature training span; queries
   /// within [lo - margin*span, hi + margin*span] are not flagged.
   double margin = 0.1;
@@ -128,7 +126,8 @@ struct CounterGuardRecord {
   std::string counter;
   std::string chosen;  ///< primary model ("glm", "mars", ...)
   double r2 = 0.0;
-  /// K-fold CV RMSE of the primary model (0 when the chain was not fit).
+  /// K-fold CV RMSE of the primary model (0 in bundles written without
+  /// the chain).
   double cv_rmse = 0.0;
   /// Demotion order, primary first.
   std::vector<std::string> chain;
@@ -155,6 +154,7 @@ struct PredictionGuardRecord {
 
 /// The self-description attached to PredictionSeries / AnalysisOutcome.
 struct GuardReport {
+  /// True once the report has been filled by a predictor.
   bool enabled = false;
   GuardOptions options;
   std::vector<FeatureRange> hull;

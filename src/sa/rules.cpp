@@ -6,7 +6,7 @@
 namespace bf::sa {
 namespace {
 
-// Documentation order: the migrated legacy nine, then the include-graph
+// Documentation order: the migrated legacy eight, then the include-graph
 // family, then the concurrency family, then the meta rules the
 // framework itself emits.
 const std::vector<RuleSpec> kRegistry = {
@@ -24,8 +24,6 @@ const std::vector<RuleSpec> kRegistry = {
     {"atomic-write", Severity::kError,
      "direct ofstream in the repository layer tears entries on crash "
      "(use bf::atomic_write_file)"},
-    {"guarded-predict", Severity::kError,
-     "direct model query in core/power/tools bypasses the guard layer"},
     {"flat-predict", Severity::kError,
      "serve-layer per-row tree walk bypasses the flat inference engine"},
     {"registry-swap", Severity::kError,
@@ -140,16 +138,6 @@ void run_token_rules(const LexedFile& file, const std::string& rel,
       rel.find("src/profiling/") == 0 ||
       filename.find("repository") != std::string::npos;
 
-  // Prediction consumers (the core pipeline and the CLI tools) must go
-  // through the guard layer's supervised entry points; the few audited
-  // raw-query exits carry explicit allow() suppressions.
-  const bool guard_scope = rel.find("/core/") != std::string::npos ||
-                           rel.find("src/core/") == 0 ||
-                           rel.find("/power/") != std::string::npos ||
-                           rel.find("src/power/") == 0 ||
-                           rel.find("/tools/") != std::string::npos ||
-                           rel.find("tools/") == 0;
-
   // The serving hot path predicts through the frozen flat engine
   // (ml::FlatForest via the bundle's predictor); a pointer-tree
   // predict_row in serve code reintroduces the per-node cache-miss walk
@@ -203,23 +191,6 @@ void run_token_rules(const LexedFile& file, const std::string& rel,
                  "* in the serving layer can dangle across a hot-reload "
                  "swap (pin the generation with "
                  "std::shared_ptr<const LoadedModel>)");
-    } else if (guard_scope && t.text == "predict_row") {
-      report(t.line, "guarded-predict",
-             "direct per-row model query bypasses the guard layer (use "
-             "ProblemScalingPredictor::predict_guarded / "
-             "CounterModels::predict_kind)");
-    } else if ((guard_scope || serve_scope) &&
-               (t.text == "predict_time" || t.text == "predict_power") &&
-               i >= 1 &&
-               (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
-      // The legacy unguarded scalar entry points: a member call drops
-      // hull checks, physical caps and the A/B/C grade. Declarations and
-      // definitions (no member-access prefix) stay clean; the deliberate
-      // --no-guard exits carry allow() suppressions.
-      report(t.line, "guarded-predict",
-             "unguarded '" + t.text +
-                 "' call drops hull checks, physical caps and grades "
-                 "(use predict_guarded)");
     } else if (is_source && t.text == "load" && i + 1 < toks.size() &&
                toks[i + 1].text == "(") {
       // A reader definition: `load(` with an istream parameter close by

@@ -34,7 +34,7 @@ done
 
 # One finding per seeded rule.
 for rule in pragma-once raw-new raw-delete no-rand float-literal \
-            unchecked-parse atomic-write guarded-predict artifact-version \
+            unchecked-parse atomic-write artifact-version \
             include-cycle layer-dag duplicate-include capture-escape \
             mutable-global lock-order unused-suppression flat-predict \
             registry-swap; do

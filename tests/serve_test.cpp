@@ -19,6 +19,7 @@
 #include "common/fault.hpp"
 #include "common/io.hpp"
 #include "gpusim/arch.hpp"
+#include "guard/guard.hpp"
 #include "profiling/sweep.hpp"
 #include "profiling/workloads.hpp"
 #include "serve/artifact.hpp"
@@ -43,6 +44,14 @@ const core::ProblemScalingPredictor& trained_predictor() {
     return core::ProblemScalingPredictor::build(sweep, pso);
   }();
   return p;
+}
+
+/// True when two guarded answers agree bit for bit on value, interval
+/// and grade.
+bool same_answer(const guard::PredictionGuardRecord& a,
+                 const guard::PredictionGuardRecord& b) {
+  return a.value == b.value && a.lo == b.lo && a.hi == b.hi &&
+         a.grade == b.grade;
 }
 
 class ServeTest : public ::testing::Test {
@@ -88,8 +97,6 @@ TEST_F(ServeTest, BundleRoundTripIsBitIdentical) {
   // must reproduce value, interval and grade bit for bit.
   for (const double size : {20000.0, 65536.0, 262144.0, 4194304.0,
                             16777216.0}) {
-    EXPECT_EQ(original.predict_time(size),
-              loaded.predictor.predict_time(size));
     const auto a = original.predict_guarded(size);
     const auto b = loaded.predictor.predict_guarded(size);
     EXPECT_EQ(a.value, b.value);
@@ -189,6 +196,32 @@ TEST_F(ServeTest, V1ForestRecordsAreRejectedAndQuarantined) {
       EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
       std::filesystem::remove(path + ".quarantined");
     }
+  }
+}
+
+TEST_F(ServeTest, RetiredGuardSwitchSlotIsIgnoredOnLoad) {
+  // Bundles carry a constant 1 where the guard's on/off switch used to
+  // be. One written with the switch off (0) still loads, and it answers
+  // guarded, bit-identically to the unedited bundle.
+  export_named("reduce1");
+  const std::string content = *read_file(bundle_path("reduce1"));
+  std::size_t at = 0;
+  for (int line = 0; line < 3; ++line) at = content.find('\n', at) + 1;
+  std::string payload = content.substr(at);
+  const std::string slot = "bf_guard_options 1\n1 ";
+  const std::size_t slot_at = payload.find(slot);
+  ASSERT_NE(slot_at, std::string::npos);
+  payload[slot_at + slot.size() - 2] = '0';
+
+  const serve::ModelBundle edited = serve::bundle_from_string(
+      frame_bundle(serve::kBundleFormatVersion, payload), "t");
+  const serve::ModelBundle plain = serve::bundle_from_string(content, "t");
+  for (const double size : {20000.0, 262144.0, 16777216.0}) {
+    const auto a = plain.predictor.predict_guarded(size);
+    const auto b = edited.predictor.predict_guarded(size);
+    EXPECT_TRUE(same_answer(a, b)) << "size " << size;
+    EXPECT_EQ(a.demotions, b.demotions) << "size " << size;
+    EXPECT_EQ(a.clamps, b.clamps) << "size " << size;
   }
 }
 
@@ -340,8 +373,8 @@ TEST_F(ServeTest, ReloadPromotesNewGeneration) {
   EXPECT_NE(gen2->checksum, gen1->checksum);
   // The pre-reload pin still answers from its own, untouched generation.
   EXPECT_EQ(gen1->generation, 1u);
-  EXPECT_EQ(gen1->bundle.predictor.predict_time(65536),
-            gen2->bundle.predictor.predict_time(65536));
+  EXPECT_TRUE(same_answer(gen1->bundle.predictor.predict_guarded(65536),
+                          gen2->bundle.predictor.predict_guarded(65536)));
 
   const auto stats = registry.stats();
   EXPECT_EQ(stats.reloads, 2u);
@@ -556,9 +589,11 @@ TEST_F(ServeTest, ReloadUnderConcurrentPredictionsIsRaceFree) {
           }
           // Two predictions through the same pin must agree even if the
           // registry promoted a new generation in between.
-          const double first = pinned->bundle.predictor.predict_time(65536);
-          const double again = pinned->bundle.predictor.predict_time(65536);
-          if (first != again || pinned->generation == 0) ++failures;
+          const auto first = pinned->bundle.predictor.predict_guarded(65536);
+          const auto again = pinned->bundle.predictor.predict_guarded(65536);
+          if (!same_answer(first, again) || pinned->generation == 0) {
+            ++failures;
+          }
         } catch (const std::exception&) {
           ++failures;
         }

@@ -57,8 +57,6 @@ void usage() {
       "  --guard-margin F  extrapolation margin of the prediction guard,\n"
       "                    as a fraction of the training span (default 0.1)\n"
       "  --strict-guard    exit non-zero when any prediction grades C\n"
-      "  --no-guard        disable model-health supervision (legacy\n"
-      "                    unguarded prediction path)\n"
       "  --guard-json PATH write the guard report as JSON\n"
       "  --power           model board power as a second response: ranks\n"
       "                    energy bottlenecks next to time bottlenecks,\n"
@@ -99,7 +97,6 @@ struct Args {
   std::string repo;
   double guard_margin = 0.1;
   bool strict_guard = false;
-  bool no_guard = false;
   std::string guard_json;
   bool power = false;
   std::string power_json;
@@ -146,8 +143,6 @@ Args parse(int argc, char** argv) {
       args.guard_margin = parse_double(next());
     } else if (a == "--strict-guard") {
       args.strict_guard = true;
-    } else if (a == "--no-guard") {
-      args.no_guard = true;
     } else if (a == "--guard-json") {
       args.guard_json = next();
     } else if (a == "--power") {
@@ -295,13 +290,6 @@ int main(int argc, char** argv) {
       BF_CHECK_MSG(!args.predict.empty(),
                    "--from-model needs at least one --predict size");
       std::printf("problem-scaling predictions:\n");
-      if (args.no_guard) {
-        for (const double s : args.predict) {
-          std::printf("  size %-10g -> %.4f ms\n", s,
-                      bundle.predictor.predict_time(s));  // bf-lint: allow(guarded-predict)
-        }
-        return 0;
-      }
       guard::GuardReport report = bundle.predictor.guard_report();
       for (const double s : args.predict) {
         const auto rec = bundle.predictor.predict_guarded(s);
@@ -399,7 +387,6 @@ int main(int argc, char** argv) {
     if (!args.predict.empty() || !args.export_model.empty()) {
       core::ProblemScalingOptions pso;
       pso.model.forest.n_trees = static_cast<std::size_t>(args.trees);
-      pso.guard.enabled = !args.no_guard;
       pso.guard.margin = args.guard_margin;
       pso.arch = config.arch;
       const auto predictor =
@@ -409,7 +396,6 @@ int main(int argc, char** argv) {
         bf::power::PowerPredictorOptions popts;
         popts.scaling.model.forest.n_trees =
             static_cast<std::size_t>(args.trees);
-        popts.scaling.guard.enabled = !args.no_guard;
         popts.scaling.guard.margin = args.guard_margin;
         popts.scaling.arch = config.arch;
         ppred = bf::power::PowerPredictor::build(outcome.data, popts);
@@ -425,21 +411,6 @@ int main(int argc, char** argv) {
         if (args.predict.empty()) return 0;
       }
       std::printf("problem-scaling predictions:\n");
-      if (args.no_guard) {
-        for (const double s : args.predict) {
-          std::printf("  size %-10g -> %.4f ms\n", s,
-                      predictor.predict_time(s));  // bf-lint: allow(guarded-predict)
-        }
-        if (ppred.has_value()) {
-          std::printf("power predictions (board watts):\n");
-          for (const double s : args.predict) {
-            std::printf("  size %-10g -> %.2f W\n", s,
-                        ppred->predict_power(s));  // bf-lint: allow(guarded-predict)
-          }
-        }
-        return 0;
-      }
-
       guard::GuardReport report = predictor.guard_report();
       core::PredictionSeries pseries;
       for (const double s : args.predict) {

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -162,32 +163,50 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[i];
 }
 
-/// Measure `rows_per_pass * reps` predictions through `pass`, which
-/// appends one latency sample (ns per prediction) per invocation batch.
-template <typename Pass>
-EngineResult measure(const std::string& name, std::size_t rows_per_pass,
-                     std::size_t reps, Pass&& pass) {
-  EngineResult r;
-  r.name = name;
-  std::vector<double> samples_ns;
-  pass(samples_ns);  // warm-up: page in nodes, size scratch buffers
-  samples_ns.clear();
-  const auto t0 = Clock::now();
-  for (std::size_t rep = 0; rep < reps; ++rep) pass(samples_ns);
-  const double total_s = std::chrono::duration<double>(Clock::now() - t0)
-                             .count();
+/// One engine under measurement: `pass` predicts `rows_per_pass` rows
+/// and appends one latency sample (ns per prediction) per invocation
+/// batch.
+struct Engine {
+  std::string name;
+  std::function<void(std::vector<double>&)> pass;
+};
+
+/// Measure every engine `reps` times, interleaved: after one warm-up
+/// pass each (page in nodes, size scratch buffers), each round runs one
+/// timed pass of every engine in turn, so host load lands on all engines
+/// alike instead of on whichever owns the current time window.
+std::vector<EngineResult> measure(const std::vector<Engine>& engines,
+                                  std::size_t rows_per_pass,
+                                  std::size_t reps) {
+  std::vector<std::vector<double>> samples_ns(engines.size());
+  std::vector<double> total_s(engines.size(), 0.0);
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    engines[e].pass(samples_ns[e]);
+    samples_ns[e].clear();
+  }
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      const auto t0 = Clock::now();
+      engines[e].pass(samples_ns[e]);
+      total_s[e] += std::chrono::duration<double>(Clock::now() - t0).count();
+    }
+  }
   const double total_rows =
       static_cast<double>(rows_per_pass) * static_cast<double>(reps);
-  r.rows_per_sec = total_s > 0.0 ? total_rows / total_s : 0.0;
-  std::sort(samples_ns.begin(), samples_ns.end());
-  r.p50_ns = percentile(samples_ns, 0.50);
-  r.p99_ns = percentile(samples_ns, 0.99);
-  double sum = 0.0;
-  for (const double v : samples_ns) sum += v;
-  r.mean_ns = samples_ns.empty()
-                  ? 0.0
-                  : sum / static_cast<double>(samples_ns.size());
-  return r;
+  std::vector<EngineResult> results(engines.size());
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    EngineResult& r = results[e];
+    std::vector<double>& ns = samples_ns[e];
+    r.name = engines[e].name;
+    r.rows_per_sec = total_s[e] > 0.0 ? total_rows / total_s[e] : 0.0;
+    std::sort(ns.begin(), ns.end());
+    r.p50_ns = percentile(ns, 0.50);
+    r.p99_ns = percentile(ns, 0.99);
+    double sum = 0.0;
+    for (const double v : ns) sum += v;
+    r.mean_ns = ns.empty() ? 0.0 : sum / static_cast<double>(ns.size());
+  }
+  return results;
 }
 
 void check_identical(const std::vector<double>& want,
@@ -291,7 +310,7 @@ int main(int argc, char** argv) {
     const auto pointer_row = [&forest](const double* row) {
       double acc = 0.0;
       for (std::size_t t = 0; t < forest.n_trees(); ++t) {
-        acc += forest.tree(t).predict_row(row);  // bf-lint: allow(guarded-predict)
+        acc += forest.tree(t).predict_row(row);
       }
       return acc / static_cast<double>(forest.n_trees());
     };
@@ -306,7 +325,7 @@ int main(int argc, char** argv) {
       ml::ForestScratch s;
       std::vector<double> got(args.rows);
       for (std::size_t i = 0; i < args.rows; ++i) {
-        got[i] = flat.predict_row(probes.row_ptr(i), s);  // bf-lint: allow(guarded-predict)
+        got[i] = flat.predict_row(probes.row_ptr(i), s);
       }
       check_identical(want, got, "flat_single");
     }
@@ -314,45 +333,37 @@ int main(int argc, char** argv) {
                 args.rows);
 
     // ---- measurements ----
-    std::vector<EngineResult> results;
     volatile double sink = 0.0;  // keep the optimizer honest
-
-    results.push_back(measure(
-        "pointer_single", args.rows, args.reps, [&](std::vector<double>& ns) {
-          for (std::size_t i = 0; i < args.rows; ++i) {
-            const auto t0 = Clock::now();
-            sink = pointer_row(probes.row_ptr(i));
-            ns.push_back(std::chrono::duration<double, std::nano>(
-                             Clock::now() - t0)
-                             .count());
-          }
-        }));
-    const double base = results[0].rows_per_sec;
-
     ml::ForestScratch scratch;
-    results.push_back(measure(
-        "flat_single", args.rows, args.reps, [&](std::vector<double>& ns) {
-          for (std::size_t i = 0; i < args.rows; ++i) {
-            const auto t0 = Clock::now();
-            sink = flat.predict_row(probes.row_ptr(i), scratch);  // bf-lint: allow(guarded-predict)
-            ns.push_back(std::chrono::duration<double, std::nano>(
-                             Clock::now() - t0)
-                             .count());
-          }
-        }));
-
     std::vector<double> out_batch(args.rows);
-    results.push_back(measure(
-        "flat_batch", args.rows, args.reps, [&](std::vector<double>& ns) {
-          const auto t0 = Clock::now();
-          flat.predict(probes, out_batch, scratch);
-          ns.push_back(std::chrono::duration<double, std::nano>(
-                           Clock::now() - t0)
-                           .count() /
-                       static_cast<double>(args.rows));
-          sink = out_batch[0];
-        }));
+    const auto since_ns = [](Clock::time_point t0) {
+      return std::chrono::duration<double, std::nano>(Clock::now() - t0)
+          .count();
+    };
+    std::vector<Engine> engines;
+    engines.push_back({"pointer_single", [&](std::vector<double>& ns) {
+      for (std::size_t i = 0; i < args.rows; ++i) {
+        const auto t0 = Clock::now();
+        sink = pointer_row(probes.row_ptr(i));
+        ns.push_back(since_ns(t0));
+      }
+    }});
+    engines.push_back({"flat_single", [&](std::vector<double>& ns) {
+      for (std::size_t i = 0; i < args.rows; ++i) {
+        const auto t0 = Clock::now();
+        sink = flat.predict_row(probes.row_ptr(i), scratch);
+        ns.push_back(since_ns(t0));
+      }
+    }});
+    engines.push_back({"flat_batch", [&](std::vector<double>& ns) {
+      const auto t0 = Clock::now();
+      flat.predict(probes, out_batch, scratch);
+      ns.push_back(since_ns(t0) / static_cast<double>(args.rows));
+      sink = out_batch[0];
+    }});
+    std::vector<EngineResult> results = measure(engines, args.rows, args.reps);
     (void)sink;
+    const double base = results[0].rows_per_sec;
 
     double best_flat = 0.0;
     std::string best_name;
