@@ -1,10 +1,12 @@
 // A small fixed-size thread pool with a parallel_for helper.
 //
-// Random-forest training and the per-SM simulation loops are embarrassingly
-// parallel; parallel_for chunks an index range over the pool. On a
-// single-core host the pool degenerates to serial execution with no
-// threading overhead (size 1 runs inline), so results and performance remain
-// sensible everywhere.
+// parallel_for chunks an index range over the pool. Users of global():
+// the per-SM simulation (Device::run) and the modelling layer's fits
+// (RandomForest trees, CounterModels entries, kfold_cv folds, nested in
+// one another); the server fans request batches out over global() or a
+// pool of its own. On a single-core host the pool degenerates to serial
+// execution with no threading overhead (size 1 runs inline), so results
+// and performance remain sensible everywhere.
 #pragma once
 
 #include <condition_variable>

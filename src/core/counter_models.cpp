@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/io.hpp"
+#include "common/thread_pool.hpp"
 #include "ml/cv.hpp"
 #include "ml/metrics.hpp"
 
@@ -121,15 +122,25 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
   const linalg::Matrix raw_x = ds.to_matrix(options.inputs);
   const linalg::Matrix x = transform_inputs(raw_x, options.log_inputs);
 
+  // The inputs themselves need no model.
+  std::vector<const std::string*> modelled;
   for (const auto& counter : counters) {
-    // The inputs themselves need no model.
-    if (std::find(options.inputs.begin(), options.inputs.end(), counter) !=
+    if (std::find(options.inputs.begin(), options.inputs.end(), counter) ==
         options.inputs.end()) {
-      continue;
+      modelled.push_back(&counter);
     }
+  }
+  out.entries_.resize(modelled.size());
+  out.info_.resize(modelled.size());
+
+  // Counters are independent: task k fits counter k into its own entry
+  // and info slot, so the models keep counter order and are the same at
+  // any pool size. Each task's CV folds nest into the same pool.
+  ThreadPool::global().parallel_for(0, modelled.size(), [&](std::size_t k) {
+    const std::string& counter = *modelled[k];
     const std::vector<double>& y_raw = ds.column(counter);
 
-    Entry entry;
+    Entry& entry = out.entries_[k];
     entry.counter = counter;
     entry.log_response = options.auto_log_response && wants_log_response(y_raw);
     // Real GPU counters (counts/ratios/throughputs) are never negative in
@@ -159,7 +170,8 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
       std::vector<double> scratch;
       for (std::size_t i = 0; i < y_raw.size(); ++i) {
         for (std::size_t j = 0; j < raw_x.cols(); ++j) row[j] = raw_x(i, j);
-        pred[i] = out.predict_entry_kind(entry, kind, row, scratch, nullptr);
+        pred[i] = exit_clamp(entry, out.model_value(entry, kind, row, scratch),
+                             nullptr);
       }
       double rss = 0.0;
       for (std::size_t i = 0; i < y_raw.size(); ++i) {
@@ -180,7 +192,7 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
                                                : CounterModelKind::kGlm;
     }
 
-    CounterModelInfo info;
+    CounterModelInfo& info = out.info_[k];
     info.counter = counter;
     info.chosen = entry.kind;
     info.residual_deviance =
@@ -298,19 +310,13 @@ CounterModels CounterModels::fit(const ml::Dataset& ds,
       if (c.kind != entry.kind) entry.chain.push_back(c.kind);
     }
     info.chain = entry.chain;
-
-    out.entries_.push_back(std::move(entry));
-    out.info_.push_back(std::move(info));
-  }
+  });
   return out;
 }
 
-double CounterModels::predict_entry_kind(const Entry& entry,
-                                         CounterModelKind kind,
-                                         std::span<const double> inputs,
-                                         std::vector<double>& scratch,
-                                         bool* negative_clamped) const {
-  double v;
+double CounterModels::model_value(const Entry& entry, CounterModelKind kind,
+                                  std::span<const double> inputs,
+                                  std::vector<double>& scratch) const {
   if (kind == CounterModelKind::kPowerLaw) {
     BF_CHECK_MSG(entry.has_fallbacks,
                  "power-law fallback was not fit for " << entry.counter);
@@ -320,46 +326,51 @@ double CounterModels::predict_entry_kind(const Entry& entry,
     pl.exponent = entry.pl_exp;
     pl.x0 = entry.pl_x0;
     pl.y0 = entry.pl_y0;
-    v = pl.predict(inputs.empty() ? 0.0 : inputs[0]);
-  } else {
-    scratch.assign(inputs.begin(), inputs.end());
-    if (log_inputs_) {
-      for (double& u : scratch) u = log_input(u);
-    }
-    if (kind == CounterModelKind::kMars) {
-      v = entry.mars.predict_row(scratch.data(), scratch.size());
-    } else if (kind == CounterModelKind::kLogLinear) {
-      BF_CHECK_MSG(entry.has_fallbacks,
-                   "log-linear fallback was not fit for " << entry.counter);
-      v = entry.loglin.predict_row(scratch.data(), scratch.size());
-    } else {
-      v = entry.glm.predict_row(scratch.data(), scratch.size());
-    }
-    if (entry.log_response) v = std::exp2(std::clamp(v, -60.0, 60.0));
+    return pl.predict(inputs.empty() ? 0.0 : inputs[0]);
   }
+  scratch.assign(inputs.begin(), inputs.end());
+  if (log_inputs_) {
+    for (double& u : scratch) u = log_input(u);
+  }
+  double v;
+  if (kind == CounterModelKind::kMars) {
+    v = entry.mars.predict_row(scratch.data(), scratch.size());
+  } else if (kind == CounterModelKind::kLogLinear) {
+    BF_CHECK_MSG(entry.has_fallbacks,
+                 "log-linear fallback was not fit for " << entry.counter);
+    v = entry.loglin.predict_row(scratch.data(), scratch.size());
+  } else {
+    v = entry.glm.predict_row(scratch.data(), scratch.size());
+  }
+  if (entry.log_response) v = std::exp2(std::clamp(v, -60.0, 60.0));
+  return v;
+}
+
+double CounterModels::exit_clamp(const Entry& entry, double v,
+                                 bool* negative_clamped) {
+  // A counter that was non-negative in training is a count/ratio/
+  // throughput and can never go negative, whatever model produced it.
+  if (entry.clamp_negative && v < 0.0) {
+    if (negative_clamped != nullptr) *negative_clamped = true;
+    return 0.0;
+  }
+  if (negative_clamped != nullptr) *negative_clamped = false;
+  return v;
+}
+
+double CounterModels::predict_entry_kind(const Entry& entry,
+                                         CounterModelKind kind,
+                                         std::span<const double> inputs,
+                                         std::vector<double>& scratch,
+                                         bool* negative_clamped) const {
+  double v = model_value(entry, kind, inputs, scratch);
   if (fault::should_fire(fault::points::kCounterModelDiverge)) {
     // Simulated runaway extrapolation: the guard's sanity envelope must
     // catch this and demote down the chain.
     v *= 1e6;
   }
-  // Single exit point: a counter that was non-negative in training is a
-  // count/ratio/throughput and can never go negative, whatever model
-  // produced it.
-  if (entry.clamp_negative && v < 0.0) {
-    if (negative_clamped != nullptr) *negative_clamped = true;
-    v = 0.0;
-  } else if (negative_clamped != nullptr) {
-    *negative_clamped = false;
-  }
-  return v;
-}
-
-double CounterModels::predict_kind(std::size_t entry, CounterModelKind kind,
-                                   const std::vector<double>& inputs,
-                                   bool* negative_clamped) const {
-  std::vector<double> scratch;
-  return predict_kind(entry, kind, std::span<const double>(inputs), scratch,
-                      negative_clamped);
+  // Single exit point of every prediction.
+  return exit_clamp(entry, v, negative_clamped);
 }
 
 double CounterModels::predict_kind(std::size_t entry, CounterModelKind kind,

@@ -12,7 +12,9 @@
 // guard layer demotes along the chain at predict time when the chosen
 // model's output violates sanity bounds. Every prediction leaves through
 // one clamped exit point, so no model can feed a negative counter value
-// to the forest.
+// to the forest. Counters and their CV folds fit on ThreadPool::global(),
+// each into its own slot, so the fitted models are the same at any pool
+// size.
 #pragma once
 
 #include <iosfwd>
@@ -90,14 +92,9 @@ class CounterModels {
   /// Predict counter `entry` with one specific model from its chain
   /// (the guard layer's demotion primitive). When `negative_clamped` is
   /// non-null it reports whether the raw model output was negative
-  /// before the exit-point clamp.
-  double predict_kind(std::size_t entry, CounterModelKind kind,
-                      const std::vector<double>& inputs,
-                      bool* negative_clamped = nullptr) const;
-
-  /// Allocation-free form of predict_kind for the serving hot path: the
-  /// inputs arrive as a span and the log-space transform writes into a
-  /// caller-reused scratch buffer instead of a per-call temporary.
+  /// before the exit-point clamp. Allocation-free for the serving hot
+  /// path: the log-space transform writes into a caller-reused scratch
+  /// buffer.
   double predict_kind(std::size_t entry, CounterModelKind kind,
                       std::span<const double> inputs,
                       std::vector<double>& scratch,
@@ -143,6 +140,16 @@ class CounterModels {
     std::vector<CounterModelKind> chain;
   };
 
+  /// Raw output of one model of `entry`, on the counter's scale.
+  double model_value(const Entry& entry, CounterModelKind kind,
+                     std::span<const double> inputs,
+                     std::vector<double>& scratch) const;
+  /// The exit-point clamp shared by fit-time scoring and predictions.
+  static double exit_clamp(const Entry& entry, double v,
+                           bool* negative_clamped);
+  /// model_value, the ml.counter_model.diverge fault, then exit_clamp.
+  /// Only predictions reach the fault point, so concurrent fits draw
+  /// nothing from it and stay reproducible when it is armed.
   double predict_entry_kind(const Entry& entry, CounterModelKind kind,
                             std::span<const double> inputs,
                             std::vector<double>& scratch,

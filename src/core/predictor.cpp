@@ -484,7 +484,14 @@ HardwareScalingResult HardwareScalingPredictor::predict(
   BlackForestModel model = BlackForestModel::fit(train, fit_options);
   out.variables = model.predictors();
 
-  const std::vector<double> predicted = model.predict(split.test);
+  // One forest walk gives both the series (the interval means equal the
+  // point predictions bit for bit) and the per-tree spread.
+  const linalg::Matrix xm = split.test.to_matrix(model.predictors());
+  const auto intervals = model.predict_intervals(xm);
+  std::vector<double> predicted(intervals.size());
+  for (std::size_t r = 0; r < intervals.size(); ++r) {
+    predicted[r] = intervals[r].mean;
+  }
   out.series = score_series(split.test.column(profiling::kSizeColumn),
                             split.test.column(profiling::kTimeColumn),
                             predicted);
@@ -495,8 +502,6 @@ HardwareScalingResult HardwareScalingPredictor::predict(
   // silently leaves its domain (paper §6.2's NW divergence).
   const guard::DomainGuard hull = guard::DomainGuard::build(
       train, model.predictors(), options.guard.margin);
-  const linalg::Matrix xm = split.test.to_matrix(model.predictors());
-  const auto intervals = model.predict_intervals(xm);
   out.series.guard.enabled = true;
   out.series.guard.options = options.guard;
   out.series.guard.hull = hull.ranges();

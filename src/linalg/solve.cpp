@@ -56,13 +56,18 @@ LeastSquaresResult qr_least_squares(const Matrix& a,
   // Working copies; R overwrites `r`, rhs is transformed in place.
   Matrix r = a;
   std::vector<double> rhs = b;
+  // Unchecked row-major access: every loop below stays inside m x n.
+  double* const rd = r.row_ptr(0);
+  const auto at = [rd, n](std::size_t i, std::size_t j) -> double& {
+    return rd[i * n + j];
+  };
   std::vector<std::size_t> perm(n);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
 
   // Column norms for pivoting.
   std::vector<double> col_norm2(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < m; ++i) col_norm2[j] += r(i, j) * r(i, j);
+    for (std::size_t i = 0; i < m; ++i) col_norm2[j] += at(i, j) * at(i, j);
   }
   const double total_scale =
       std::sqrt(*std::max_element(col_norm2.begin(), col_norm2.end()));
@@ -76,7 +81,7 @@ LeastSquaresResult qr_least_squares(const Matrix& a,
     double best = 0.0;
     for (std::size_t j = k; j < n; ++j) {
       double s = 0.0;
-      for (std::size_t i = k; i < m; ++i) s += r(i, j) * r(i, j);
+      for (std::size_t i = k; i < m; ++i) s += at(i, j) * at(i, j);
       if (s > best) {
         best = s;
         piv = j;
@@ -84,18 +89,18 @@ LeastSquaresResult qr_least_squares(const Matrix& a,
     }
     if (std::sqrt(best) <= rank_tol) break;  // remaining columns negligible
     if (piv != k) {
-      for (std::size_t i = 0; i < m; ++i) std::swap(r(i, k), r(i, piv));
+      for (std::size_t i = 0; i < m; ++i) std::swap(at(i, k), at(i, piv));
       std::swap(perm[k], perm[piv]);
     }
 
     // Householder vector v for column k.
     double alpha = 0.0;
-    for (std::size_t i = k; i < m; ++i) alpha += r(i, k) * r(i, k);
+    for (std::size_t i = k; i < m; ++i) alpha += at(i, k) * at(i, k);
     alpha = std::sqrt(alpha);
-    if (r(k, k) > 0) alpha = -alpha;
+    if (at(k, k) > 0) alpha = -alpha;
     std::vector<double> v(m - k);
-    v[0] = r(k, k) - alpha;
-    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = r(i, k);
+    v[0] = at(k, k) - alpha;
+    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = at(i, k);
     double vnorm2 = 0.0;
     for (double t : v) vnorm2 += t * t;
     if (vnorm2 <= 0.0) continue;
@@ -103,16 +108,16 @@ LeastSquaresResult qr_least_squares(const Matrix& a,
     // Apply H = I - 2 v v^T / (v^T v) to the remaining columns and rhs.
     for (std::size_t j = k; j < n; ++j) {
       double s = 0.0;
-      for (std::size_t i = k; i < m; ++i) s += v[i - k] * r(i, j);
+      for (std::size_t i = k; i < m; ++i) s += v[i - k] * at(i, j);
       s = 2.0 * s / vnorm2;
-      for (std::size_t i = k; i < m; ++i) r(i, j) -= s * v[i - k];
+      for (std::size_t i = k; i < m; ++i) at(i, j) -= s * v[i - k];
     }
     double s = 0.0;
     for (std::size_t i = k; i < m; ++i) s += v[i - k] * rhs[i];
     s = 2.0 * s / vnorm2;
     for (std::size_t i = k; i < m; ++i) rhs[i] -= s * v[i - k];
 
-    r(k, k) = alpha;
+    at(k, k) = alpha;
     ++rank;
   }
 
@@ -120,9 +125,9 @@ LeastSquaresResult qr_least_squares(const Matrix& a,
   std::vector<double> xp(n, 0.0);
   for (std::size_t ii = rank; ii-- > 0;) {
     double v = rhs[ii];
-    for (std::size_t j = ii + 1; j < rank; ++j) v -= r(ii, j) * xp[j];
-    BF_CHECK_MSG(std::fabs(r(ii, ii)) > 1e-14, "singular R in QR solve");
-    xp[ii] = v / r(ii, ii);
+    for (std::size_t j = ii + 1; j < rank; ++j) v -= at(ii, j) * xp[j];
+    BF_CHECK_MSG(std::fabs(at(ii, ii)) > 1e-14, "singular R in QR solve");
+    xp[ii] = v / at(ii, ii);
   }
 
   LeastSquaresResult out;

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "ml/metrics.hpp"
 
 namespace bf::ml {
@@ -27,9 +28,13 @@ CvResult kfold_cv(
 
   CvResult out;
   out.predictions.assign(n, std::numeric_limits<double>::quiet_NaN());
+  out.fold_mse.assign(folds, 0.0);
   const auto& truth = ds.column(response);
 
-  for (std::size_t f = 0; f < folds; ++f) {
+  // Folds are independent: fold f writes fold_mse[f] and the prediction
+  // slots of its own test rows, so the result is the same at any pool
+  // size.
+  ThreadPool::global().parallel_for(0, folds, [&](std::size_t f) {
     std::vector<std::size_t> train_rows;
     std::vector<std::size_t> test_rows;
     for (std::size_t i = 0; i < n; ++i) {
@@ -50,8 +55,8 @@ CvResult kfold_cv(
       out.predictions[test_rows[i]] = pred[i];
       fold_truth.push_back(truth[test_rows[i]]);
     }
-    out.fold_mse.push_back(mse(fold_truth, pred));
-  }
+    out.fold_mse[f] = mse(fold_truth, pred);
+  });
 
   out.mean_mse = mean(out.fold_mse);
   out.sd_mse = sample_sd(out.fold_mse);

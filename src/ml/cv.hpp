@@ -24,7 +24,11 @@ struct CvResult {
 
 /// `fit_predict(train, test)` must fit a model on `train` and return
 /// predictions for the rows of `test`. Rows are shuffled once with `rng`
-/// and dealt into `folds` contiguous groups.
+/// and dealt into `folds` groups. The folds run on ThreadPool::global(),
+/// so `fit_predict` may be called concurrently and must not mutate shared
+/// state; each fold writes only its own result slots, and the mean and
+/// sd are taken in fold order, so the result is the same at any pool
+/// size. The first exception a fold throws is rethrown here.
 CvResult kfold_cv(
     const Dataset& ds, const std::string& response, std::size_t folds,
     Rng& rng,

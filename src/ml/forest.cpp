@@ -107,16 +107,10 @@ void RandomForest::fit(const linalg::Matrix& x, const std::vector<double>& y,
   }
 
   std::vector<TreeFitResult> results(params.n_trees);
-  const auto fit_tree = [&](std::size_t t) {
+  ThreadPool::global().parallel_for(0, params.n_trees, [&](std::size_t t) {
     results[t] =
         fit_one_tree(x, y, tree_params, params.importance, tree_rngs[t]);
-  };
-  if (params.threads <= 1) {
-    for (std::size_t t = 0; t < params.n_trees; ++t) fit_tree(t);
-  } else {
-    ThreadPool pool(params.threads);
-    pool.parallel_for(0, params.n_trees, fit_tree);
-  }
+  });
 
   // Aggregate trees, OOB votes and importance.
   trees_.clear();

@@ -7,6 +7,10 @@
 //  - permutation variable importance (%IncMSE), computed tree by tree as
 //    the forest is constructed (paper §4.1.1).
 //
+// Trees grow on ThreadPool::global(). Each tree draws from its own Rng,
+// split from the seed before dispatch, and the trees are aggregated in
+// tree order, so a fitted forest is identical at any pool size.
+//
 // RandomForest is fit-time only: it grows the trees and keeps the
 // training-side statistics. Every prediction — point, interval and
 // partial dependence — runs on the frozen ml::FlatForest
@@ -31,8 +35,6 @@ struct ForestParams {
   /// Whether to compute permutation importance during fit.
   bool importance = true;
   std::uint64_t seed = 42;
-  /// Number of worker threads for training (0 = serial).
-  std::size_t threads = 0;
 };
 
 /// Per-variable importance record.

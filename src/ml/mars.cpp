@@ -13,6 +13,18 @@
 #include "ml/metrics.hpp"
 
 namespace bf::ml {
+namespace {
+
+/// eval_term of a parent term extended by one hinge, from the parent's
+/// value `pv` and the hinge factor `h`: the same product in the same
+/// order, returning +0.0 wherever eval_term returns early.
+double extend_term(double pv, double h) {
+  if (pv == 0.0) return 0.0;
+  const double v = pv * h;
+  return v == 0.0 ? 0.0 : v;
+}
+
+}  // namespace
 
 double Mars::eval_term(const Term& term, const double* row) const {
   double v = 1.0;
@@ -101,6 +113,10 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
     return;
   }
 
+  // `design` holds the current terms' columns. Each round copies them
+  // once into the first k columns of `cand`, and every candidate writes
+  // only its two hinge columns, so the solver sees exactly the matrix
+  // build_design(x, terms + pair) would give.
   linalg::Matrix design = build_design(x, terms);
   double best_rss = y_ss;
 
@@ -109,6 +125,12 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
     std::size_t best_parent = 0;
     Hinge best_hinge;
     bool found = false;
+
+    const std::size_t k = terms.size();
+    linalg::Matrix cand(n, k + 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy(design.row_ptr(i), design.row_ptr(i) + k, cand.row_ptr(i));
+    }
 
     for (std::size_t parent = 0; parent < terms.size(); ++parent) {
       const int parent_degree = static_cast<int>(terms[parent].hinges.size());
@@ -122,17 +144,17 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
         if (var_in_parent) continue;
 
         for (double knot : knots[j]) {
-          // Candidate design = current + reflected pair.
-          std::vector<Term> cand = terms;
-          Term pos = terms[parent];
-          pos.hinges.push_back(Hinge{j, knot, +1});
-          Term neg = terms[parent];
-          neg.hinges.push_back(Hinge{j, knot, -1});
-          cand.push_back(pos);
-          cand.push_back(neg);
-
-          const linalg::Matrix cd = build_design(x, cand);
-          const auto sol = linalg::qr_least_squares(cd, y);
+          // Candidate design = current + reflected pair. A child column is
+          // its parent's value times the new hinge, with eval_term's
+          // early zero.
+          for (std::size_t i = 0; i < n; ++i) {
+            const double pv = design.row_ptr(i)[parent];
+            const double xv = x.row_ptr(i)[j];
+            double* row = cand.row_ptr(i);
+            row[k] = extend_term(pv, std::max(xv - knot, 0.0));
+            row[k + 1] = extend_term(pv, std::max(knot - xv, 0.0));
+          }
+          const auto sol = linalg::qr_least_squares(cand, y);
           const double rss = sol.residual_norm * sol.residual_norm;
           if (rss < round_best_rss - 1e-12) {
             round_best_rss = rss;
@@ -155,6 +177,7 @@ void Mars::fit(const linalg::Matrix& x, const std::vector<double>& y,
     neg.hinges.push_back(best_hinge);
     terms.push_back(pos);
     terms.push_back(neg);
+    design = build_design(x, terms);
     best_rss = round_best_rss;
   }
 

@@ -549,6 +549,41 @@ TEST_F(Chaos, GuardedPredictionSurvivesModelDivergence) {
   EXPECT_GT(fault::stats(fault::points::kCounterModelDiverge).fired, 0u);
 }
 
+TEST_F(Chaos, ArmedDivergenceLeavesParallelFitsReproducible) {
+  // Counter models, their CV folds and the forests fit on the shared
+  // pool. The divergence is a predict-time fault: fitting never draws
+  // from it, so builds under the armed point are reproducible and equal
+  // the unarmed build byte for byte, and the point still fires for
+  // predictions.
+  const gpusim::Device device(gpusim::arch_by_name("gtx580"));
+  const ml::Dataset sweep_ds = profiling::sweep(
+      profiling::workload_by_name("reduce1"), device,
+      profiling::log2_sizes(1 << 14, 1 << 20, 8, 256));
+  core::ProblemScalingOptions pso;
+  pso.model.forest.n_trees = 30;
+  pso.arch = gpusim::arch_by_name("gtx580");
+  const auto build_bytes = [&] {
+    std::ostringstream os;
+    core::ProblemScalingPredictor::build(sweep_ds, pso).save(os);
+    return os.str();
+  };
+  const std::string unarmed = build_bytes();
+
+  const fault::ScopedFaults faults("ml.counter_model.diverge:0.2", 11);
+  const std::string first = build_bytes();
+  const std::string second = build_bytes();
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, unarmed);
+  EXPECT_EQ(fault::stats(fault::points::kCounterModelDiverge).evaluated, 0u);
+
+  const auto predictor = core::ProblemScalingPredictor::build(sweep_ds, pso);
+  EXPECT_EQ(fault::stats(fault::points::kCounterModelDiverge).evaluated, 0u);
+  for (const double s : {32768.0, 65536.0, 131072.0, 262144.0}) {
+    (void)predictor.predict_guarded(s);
+  }
+  EXPECT_GT(fault::stats(fault::points::kCounterModelDiverge).evaluated, 0u);
+}
+
 // ---- the serving layer under storage faults ----
 
 class ChaosServe : public Chaos {

@@ -131,21 +131,16 @@ TEST(RandomForest, DeterministicForSeed) {
 
 TEST(RandomForest, ThreadedTrainingMatchesSerial) {
   const auto data = make_synthetic(80, 8);
-  ForestParams serial = fast_params();
-  ForestParams threaded = fast_params();
-  threaded.threads = 4;
-  RandomForest a;
-  RandomForest b;
-  a.fit(data.x, data.y, {"s", "n"}, serial);
-  b.fit(data.x, data.y, {"s", "n"}, threaded);
-  // Per-tree RNGs are derived before dispatch, so the forests must be
-  // identical regardless of the thread count.
-  EXPECT_DOUBLE_EQ(a.oob_mse(), b.oob_mse());
+  RandomForest rf;
+  rf.fit(data.x, data.y, {"s", "n"}, fast_params());
+  // Trees grow on the global pool, but per-tree RNGs are derived before
+  // dispatch and trees are aggregated in order, so the forest equals the
+  // one serial training grew (values recorded from it with %.17g).
+  EXPECT_EQ(rf.oob_mse(), 18.069425808220664);
   linalg::Matrix probe(1, 2);
   probe(0, 0) = 5.0;
   probe(0, 1) = 5.0;
-  EXPECT_DOUBLE_EQ(FlatForest::freeze(a).predict(probe)[0],
-                   FlatForest::freeze(b).predict(probe)[0]);
+  EXPECT_EQ(FlatForest::freeze(rf).predict(probe)[0], 24.589654675771843);
 }
 
 TEST(RandomForest, PartialDependenceTracksMonotoneSignal) {

@@ -223,8 +223,10 @@ TEST(CounterModelChain, ChainIsFitAndRankedByCv) {
   // training points, far beyond the training range.
   const double far = 4.0 * 65536;
   const double expected = 2.0 * std::pow(far, 1.5);
-  const double pl =
-      models.predict_kind(0, core::CounterModelKind::kPowerLaw, {far});
+  const std::vector<double> far_in = {far};
+  std::vector<double> scratch;
+  const double pl = models.predict_kind(0, core::CounterModelKind::kPowerLaw,
+                                        far_in, scratch);
   EXPECT_NEAR(pl, expected, 0.01 * expected);
 }
 
@@ -245,8 +247,10 @@ TEST(CounterModelChain, EveryPredictionExitsNonNegative) {
   ASSERT_EQ(models.num_entries(), 1u);
 
   bool negative_clamped = false;
+  const std::vector<double> far_in = {500.0};
+  std::vector<double> scratch;
   const double v = models.predict_kind(0, core::CounterModelKind::kGlm,
-                                       {500.0}, &negative_clamped);
+                                       far_in, scratch, &negative_clamped);
   EXPECT_EQ(v, 0.0);
   EXPECT_TRUE(negative_clamped);
 
@@ -257,8 +261,9 @@ TEST(CounterModelChain, EveryPredictionExitsNonNegative) {
 
   // In-range predictions are untouched (and report no clamp).
   negative_clamped = true;
+  const std::vector<double> mid_in = {25.0};
   const double mid = models.predict_kind(0, core::CounterModelKind::kGlm,
-                                         {25.0}, &negative_clamped);
+                                         mid_in, scratch, &negative_clamped);
   EXPECT_NEAR(mid, 75.0, 1e-6);
   EXPECT_FALSE(negative_clamped);
 }
