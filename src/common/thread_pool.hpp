@@ -1,7 +1,8 @@
 // A small fixed-size thread pool with a parallel_for helper.
 //
 // parallel_for chunks an index range over the pool. Users of global():
-// the per-SM simulation (Device::run) and the modelling layer's fits
+// the sweep's per-size simulations (profiling::sweep), the per-SM
+// simulation nested in them (Device::run), and the modelling layer's fits
 // (RandomForest trees, CounterModels entries, kfold_cv folds, nested in
 // one another); the server fans request batches out over global() or a
 // pool of its own. On a single-core host the pool degenerates to serial

@@ -6,7 +6,9 @@
 #include <limits>
 #include <memory>
 #include <memory_resource>
+#include <mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include <sys/mman.h>
@@ -33,34 +35,102 @@ bool validation_forced_by_env() {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-/// Pages mapped straight from the OS and unmapped on release. SMs run on
-/// pool threads; from malloc, their caches and traces would leave every
-/// thread that ran one with an arena top that malloc_trim cannot shrink,
-/// which then sits under every later memory peak of the process.
-class PageResource final : public std::pmr::memory_resource {
+/// The process-wide source of SM memory. Pages come straight from the
+/// OS: from malloc, the caches and traces of SMs run on pool threads
+/// would leave every such thread with an arena top that malloc_trim
+/// cannot shrink, under every later memory peak of the process. Chunks
+/// under kCachedBytes are kept by length for the next SM, so small
+/// launches reuse pages already faulted in; larger ones are unmapped on
+/// release, and the whole cache is once no SM runs. Live simulation
+/// memory thus follows the SMs running, not the launches in flight.
+class PageCache final : public std::pmr::memory_resource {
+ public:
+  static PageCache& instance() {
+    static PageCache cache;
+    return cache;
+  }
+
+  void enter() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++running_;
+  }
+
+  /// The last SM to leave empties the cache.
+  void leave() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (--running_ > 0) return;
+    for (const auto& [bytes, chunks] : free_) {
+      for (void* p : chunks) munmap(p, bytes);
+    }
+    free_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kCachedBytes = std::size_t{1} << 20;
+
   void* do_allocate(std::size_t bytes, std::size_t /*alignment*/) override {
+    if (bytes < kCachedBytes) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      const auto it = free_.find(bytes);
+      if (it != free_.end() && !it->second.empty()) {
+        void* p = it->second.back();
+        it->second.pop_back();
+        return p;
+      }
+    }
     void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) throw std::bad_alloc();
     return p;  // page-aligned
   }
+
   void do_deallocate(void* p, std::size_t bytes,
                      std::size_t /*alignment*/) override {
+    if (bytes < kCachedBytes) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      free_[bytes].push_back(p);
+      return;
+    }
     munmap(p, bytes);
   }
+
   bool do_is_equal(const memory_resource& other) const noexcept override {
     return this == &other;
   }
+
+  std::mutex mu_;
+  std::size_t running_ = 0;
+  std::unordered_map<std::size_t, std::vector<void*>> free_;  // by length
 };
 
 /// Pooled up to the largest blocks an SM asks for (warp traces reach
 /// ~100 KiB on matrixMul at n = 2048, a Kepler L2 slice ~90 KiB), so
-/// freed blocks are reused across the SMs of a launch.
+/// freed blocks are reused within the SM.
 std::pmr::pool_options sm_pool_options() {
   std::pmr::pool_options opts;
   opts.largest_required_pool_block = std::size_t{1} << 20;
   return opts;
 }
+
+/// One SM's caches and traces: an unsynchronized pool over the page
+/// cache, which the SM holds open while it lives.
+class SmMemory {
+ public:
+  SmMemory() : pool_(sm_pool_options(), &PageCache::instance()) {
+    PageCache::instance().enter();
+  }
+  ~SmMemory() {
+    pool_.release();
+    PageCache::instance().leave();
+  }
+  SmMemory(const SmMemory&) = delete;
+  SmMemory& operator=(const SmMemory&) = delete;
+
+  std::pmr::memory_resource* get() { return &pool_; }
+
+ private:
+  std::pmr::unsynchronized_pool_resource pool_;
+};
 
 struct WarpState {
   explicit WarpState(std::pmr::memory_resource* memory) : trace(memory) {}
@@ -558,18 +628,15 @@ RunResult Device::run(const TraceKernel& kernel, const RunOptions& opts) const {
   // SMs share nothing (private L1 and L2 slice), so they run in parallel,
   // each into its own counters. Every event is a sum of integer-valued
   // adds far below 2^53, so merging in SM order gives exactly the sums a
-  // single serial pass would. Caches and traces come from launch-scoped
-  // pages, so the pool threads keep no memory once the launch returns;
-  // the monotonic layer maps them in a few geometrically growing chunks.
-  PageResource pages;
-  std::pmr::monotonic_buffer_resource chunks(256 * 1024, &pages);
-  std::pmr::synchronized_pool_resource sm_memory(sm_pool_options(), &chunks);
+  // single serial pass would. Each SM's caches and traces come from its
+  // own pool over the page cache and go back to it when the SM ends.
   std::vector<CounterSet> sm_counters(per_sm.size());
   std::vector<std::uint64_t> sm_cycles(per_sm.size(), 0);
   ThreadPool::global().parallel_for(0, per_sm.size(), [&](std::size_t sm) {
     if (per_sm[sm].empty()) return;
+    SmMemory memory;
     SmSim sim(arch_, kernel, geom, result.occupancy.blocks_per_sm,
-              std::move(per_sm[sm]), &sm_memory);
+              std::move(per_sm[sm]), memory.get());
     sm_cycles[sm] = sim.run(sm_counters[sm]);
   });
   std::uint64_t max_cycles = 0;

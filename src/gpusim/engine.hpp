@@ -29,9 +29,10 @@
 // CounterSet, and merges the sets in SM order. Every event add is an
 // integer far below 2^53, so the merged sums are exact and equal a serial
 // running sum bit for bit at any thread count; elapsed cycles are the
-// maximum over SMs. Concurrent Device::run calls are safe. The SMs' caches
-// and traces live in pages mapped for the launch and unmapped when it
-// returns, so no pool thread keeps simulator memory afterwards.
+// maximum over SMs. Concurrent Device::run calls are safe. Each SM keeps
+// its caches and traces in a pool of its own over one process-wide page
+// cache, which keeps small chunks for the next SM and is unmapped once no
+// SM runs, so no pool thread keeps simulator memory afterwards.
 //
 // Large grids are sampled: a representative subset of blocks is simulated
 // and every extensive counter plus the elapsed time is scaled by

@@ -29,8 +29,15 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  /// Bounds-checked element access; throws bf::Error out of range.
+  double& operator()(std::size_t r, std::size_t c) {
+    check_index(r, c);
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    check_index(r, c);
+    return data_[r * cols_ + c];
+  }
 
   /// Raw row pointer (row-major contiguous storage).
   double* row_ptr(std::size_t r) { return data_.data() + r * cols_; }
@@ -64,6 +71,11 @@ class Matrix {
   std::string to_string(int precision = 4) const;
 
  private:
+  void check_index(std::size_t r, std::size_t c) const {
+    if (r >= rows_ || c >= cols_) [[unlikely]] throw_index_error(r, c);
+  }
+  [[noreturn]] void throw_index_error(std::size_t r, std::size_t c) const;
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

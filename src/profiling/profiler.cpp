@@ -111,9 +111,28 @@ std::map<std::string, double> Profiler::derive_metrics(
   return filtered;
 }
 
+Simulation simulate(const Workload& workload, const gpusim::Device& device,
+                    double problem_size) {
+  Simulation out;
+  try {
+    out.result = workload.run(device, problem_size);
+  } catch (...) {
+    out.error = std::current_exception();
+  }
+  return out;
+}
+
 ProfileResult Profiler::profile(const Workload& workload,
                                 const gpusim::Device& device,
                                 double problem_size) {
+  return record(workload, device, problem_size,
+                simulate(workload, device, problem_size));
+}
+
+ProfileResult Profiler::record(const Workload& workload,
+                               const gpusim::Device& device,
+                               double problem_size,
+                               const Simulation& simulated) {
   BF_CHECK_MSG(static_cast<bool>(workload.run),
                "workload '" << workload.name << "' has no run function");
   // Injected driver crash: the run aborts before the workload executes
@@ -122,8 +141,8 @@ ProfileResult Profiler::profile(const Workload& workload,
     throw Error("injected fault: profiler run of '" + workload.name +
                 "' crashed");
   }
-  const gpusim::AggregateResult agg =
-      workload.run(device, problem_size);
+  if (simulated.error) std::rethrow_exception(simulated.error);
+  const gpusim::AggregateResult& agg = simulated.result;
   // Injected timeout: the run completed but took too long; its data is
   // discarded exactly as a watchdog kill would.
   if (fault::should_fire(fault::points::kProfilerRunTimeout)) {

@@ -8,6 +8,7 @@
 // counter data are collected using nvprof."
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <map>
 #include <string>
@@ -20,6 +21,9 @@ namespace bf::profiling {
 
 /// An application under study: named, and runnable for a given problem
 /// size on a given device. Multi-launch applications aggregate internally.
+/// `run` must be a pure, thread-safe function of device and size: the
+/// sweep calls it concurrently for different sizes, and once per size
+/// however many replicates and retries that size takes.
 struct Workload {
   std::string name;
   std::function<gpusim::AggregateResult(const gpusim::Device&,
@@ -36,6 +40,17 @@ struct ProfileResult {
   std::map<std::string, double> counters;  ///< nvprof counter -> value
   double time_ms = 0.0;
 };
+
+/// What one simulation of a workload produced: its result, or the
+/// exception its run threw.
+struct Simulation {
+  gpusim::AggregateResult result;
+  std::exception_ptr error;
+};
+
+/// Run `workload` at `problem_size` on `device`, capturing what it throws.
+Simulation simulate(const Workload& workload, const gpusim::Device& device,
+                    double problem_size);
 
 struct ProfilerOptions {
   /// Multiplicative Gaussian noise applied to the measured time
@@ -56,6 +71,15 @@ class Profiler {
   /// Profile one run of `workload` at `problem_size` on `device`.
   ProfileResult profile(const Workload& workload,
                         const gpusim::Device& device, double problem_size);
+
+  /// Profile one run whose simulation already happened: `simulated` is
+  /// what simulate(workload, device, problem_size) returned, and its
+  /// error is rethrown where the run would have executed. Fault, noise
+  /// and validation draws happen exactly as in profile(), so a simulation
+  /// can back any number of profiled runs.
+  ProfileResult record(const Workload& workload,
+                       const gpusim::Device& device, double problem_size,
+                       const Simulation& simulated);
 
   /// Derive the architecture's full nvprof metric set from raw events.
   /// Exposed for tests; `time_ms` must be the (noise-free) elapsed time.

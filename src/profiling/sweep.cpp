@@ -1,14 +1,17 @@
 #include "profiling/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/arch.hpp"
 
 namespace bf::profiling {
@@ -105,11 +108,31 @@ ml::Dataset sweep(const Workload& workload, const gpusim::Device& device,
   SweepReport& rep = report != nullptr ? *report : local;
   rep = SweepReport{};
 
+  // Simulate every size once on the shared pool. Each call claims the
+  // next size of `order` instead of using its own index, so the largest
+  // sizes start first whichever threads run the calls; each result (or
+  // the exception its run threw) lands in its size's slot.
+  std::vector<std::size_t> order(sizes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return sizes[a] > sizes[b];
+  });
+  std::vector<Simulation> simulated(sizes.size());
+  std::atomic<std::size_t> next{0};
+  ThreadPool::global().parallel_for(0, order.size(), [&](std::size_t) {
+    const std::size_t i = order[next++];
+    simulated[i] = simulate(workload, device, sizes[i]);
+  });
+
+  // Record in size order: retries, replicates and every noise and fault
+  // draw replay exactly as a serial sweep makes them.
   ml::Dataset ds;
   bool schema_ready = false;
   std::vector<std::string> counter_names;
 
-  for (const double size : sizes) {
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const double size = sizes[i];
     SizeOutcome so;
     so.size = size;
 
@@ -121,7 +144,8 @@ ml::Dataset sweep(const Workload& workload, const gpusim::Device& device,
         ++so.attempts;
         if (attempt > 1) ++rep.retried_attempts;
         try {
-          reps.push_back(profiler.profile(workload, device, size));
+          reps.push_back(profiler.record(workload, device, size,
+                                         simulated[i]));
           got = true;
           break;
         } catch (const Error& e) {

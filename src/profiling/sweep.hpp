@@ -13,6 +13,16 @@
 // min_success_fraction partial-sweep gate. Every decision is recorded in
 // a SweepReport. The defaults reproduce the classic strict single-run
 // sweep bit for bit.
+//
+// A sweep simulates, then records. Every size is simulated once, as a
+// task on ThreadPool::global() (largest size first), and its result or
+// the exception its run threw lands in a slot of its own. A serial loop
+// then turns the slots into rows in size order through
+// Profiler::record: every attempt, retry, back-off, replicate, noise
+// draw, fault draw and validation happens in the order a one-size-at-a-
+// time sweep makes them, so datasets and reports are bit-identical with
+// or without faults armed. Retries and replicates replay the one
+// simulation of their size (Workload::run is deterministic).
 #pragma once
 
 #include <string>

@@ -3,6 +3,9 @@
 // CI (EXPERIMENTS.md documents the full-size versions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/pipeline.hpp"
 #include "core/predictor.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/nw.hpp"
@@ -26,6 +29,51 @@ const ml::Dataset& mm_sweep(const std::string& arch) {
                                       profiling::log2_sizes(32, 512, 16, 16),
                                       opt))
       .first->second;
+}
+
+/// One reduce variant's Fig 3/4 analysis on the GTX580, configured as
+/// bench/reduce_figure.hpp runs it for EXPERIMENTS.md.
+core::AnalysisOutcome reduce_analysis(int variant) {
+  core::PipelineConfig cfg;
+  cfg.workload = profiling::reduce_workload(variant);
+  cfg.arch = gpusim::gtx580();
+  cfg.sizes = profiling::log2_sizes(1 << 14, 1 << 24, 60, 256);
+  cfg.model.exclude = {"power_avg_w", "flop_sp_efficiency"};
+  cfg.model.forest.n_trees = 500;
+  cfg.pca.exclude = cfg.model.exclude;
+  return core::run_analysis(cfg);
+}
+
+TEST(PaperClaims, Fig3Reduce2BankConflictMetricVanishes) {
+  // §5.3: the most important counter for reduce1 is the least important
+  // for reduce2 — sequential addressing has no bank conflicts, so the
+  // counter is identically zero and drops out of the analysis.
+  const auto out = reduce_analysis(2);
+  const auto& conflicts = out.data.column("l1_shared_bank_conflict");
+  ASSERT_FALSE(conflicts.empty());
+  for (const double v : conflicts) EXPECT_EQ(v, 0.0);
+  const auto& preds = out.model.predictors();
+  EXPECT_EQ(std::find(preds.begin(), preds.end(), "l1_shared_bank_conflict"),
+            preds.end());
+}
+
+TEST(PaperClaims, Fig4Reduce6TopCountersAreMemoryThroughput) {
+  // §5.3: memory counters remain the most influential for reduce6 — its
+  // top four are all global-store, L2 or DRAM throughput counters (ipc
+  // follows in fifth place).
+  const auto out = reduce_analysis(6);
+  const auto top = out.model.top_variables(4);
+  ASSERT_EQ(top.size(), 4u);
+  const auto starts = [](const std::string& s, const std::string& p) {
+    return s.rfind(p, 0) == 0;
+  };
+  for (const auto& name : top) {
+    const bool throughput =
+        name.size() > 11 && name.substr(name.size() - 11) == "_throughput";
+    const bool memory =
+        starts(name, "gst_") || starts(name, "l2_") || starts(name, "dram_");
+    EXPECT_TRUE(throughput && memory) << name << " in the reduce6 top four";
+  }
 }
 
 TEST(PaperClaims, Fig7MatMulHardwareScalingIsStraightforward) {
